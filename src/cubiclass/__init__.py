@@ -26,6 +26,7 @@ from .signatures import (
 from .forms import (
     CubicForm,
     EigenspaceBasis,
+    coordinate_subspace_obstruction,
     eigenspace_basis,
     fermat,
     form_from_json,

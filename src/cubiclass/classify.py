@@ -15,7 +15,11 @@ from itertools import permutations, product
 from math import gcd, lcm
 
 from .admissibility import admissible_primes, is_admissible, is_prime
-from .forms import eigenspace_basis, lemma_base_feasible
+from .forms import (
+    coordinate_subspace_obstruction,
+    eigenspace_basis,
+    lemma_base_feasible,
+)
 from .signatures import (
     Signature,
     _canonical_values,
@@ -182,26 +186,30 @@ def _accept(class_sig, rep, weight, result, n, p):
 def _process_class(class_sig: Signature, config: RunConfig):
     """Accept or reject one signature class.
 
-    For p != 3 the eigenweight can be translated away, so the class is
-    examined through its weight-0 normalized representatives: every
-    lemma-feasible weight yields one, duplicates are merged up to scaling,
+    Only weights that pass the lemma filter and carry no coordinate-subspace
+    obstruction are searched; on the others every member is provably
+    singular.  For p != 3 the eigenweight can be translated away, so the
+    class is examined through its weight-0 normalized representatives: every
+    searched weight yields one, duplicates are merged up to scaling,
     and candidates are tried largest eigenspace first until a certified
     member appears (at most one record per class).  For p = 3 translations
     do not move the weight, so weights 0 and 1 (and 2, unless squaring the
     generator folds it onto 1) are genuinely distinct candidate families
-    and each feasible one is searched separately.
+    and each searched one is tried separately.
     """
     p, n = class_sig.p, class_sig.n
     records = []
-    any_feasible = False
-
     if p == 3:
         weights = [0, 1] if _two_symmetric(class_sig) else [0, 1, 2]
-        for a in weights:
-            feasible, _ = lemma_base_feasible(class_sig, a)
-            if not feasible:
-                continue
-            any_feasible = True
+    else:
+        weights = range(p)
+    feasible = [a for a in weights if lemma_base_feasible(class_sig, a)[0]]
+    searched = [
+        a for a in feasible if coordinate_subspace_obstruction(class_sig, a) is None
+    ]
+
+    if p == 3:
+        for a in searched:
             result = find_smooth_member(
                 class_sig, a, config.trials, config.seed, config.moduli
             )
@@ -209,11 +217,7 @@ def _process_class(class_sig: Signature, config: RunConfig):
                 records.append(_accept(class_sig, class_sig, a, result, n, p))
     else:
         cands = {}
-        for a in range(p):
-            feasible, _ = lemma_base_feasible(class_sig, a)
-            if not feasible:
-                continue
-            any_feasible = True
+        for a in searched:
             rep = scaling_canonical(
                 Signature(p, sorted(normalize_weight(class_sig, a).values))
             )
@@ -231,11 +235,12 @@ def _process_class(class_sig: Signature, config: RunConfig):
 
     if records:
         return records, None
-    reason = (
-        f"no_smooth_member_after_{config.trials}_trials"
-        if any_feasible
-        else "lemma_base"
-    )
+    if searched:
+        reason = f"no_smooth_member_after_{config.trials}_trials"
+    elif feasible:
+        reason = "coordinate_subspace"
+    else:
+        reason = "lemma_base"
     rejected = FamilyRecord(
         p=p,
         n=n,

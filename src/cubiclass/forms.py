@@ -6,7 +6,7 @@ diagonal automorphism splits the monomial basis by the residue
 sigma_i + sigma_j + sigma_k mod p.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .admissibility import admissible_primes, mult_order
@@ -133,6 +133,34 @@ def lemma_base_feasible(sig: Signature, a: int):
     return True, None
 
 
+def coordinate_subspace_obstruction(sig: Signature, a: int):
+    """Smallest variable subset T on whose coordinate subspace every member
+    of the weight-a eigenspace is singular, or None.
+
+    On L = {x_j = 0, j not in T} the partial in x_k of every member
+    vanishes identically unless the eigenspace holds some monomial
+    x_k * m with m quadratic in x_T.  When
+    fewer than |T| indices k have such a term, fewer than |T| quadrics cut
+    L = P^(|T|-1), so they share a zero and every member is singular there
+    (the sound half of Iano-Fletcher's quasi-smoothness criterion).  Subsets
+    are searched by increasing size, so |T| = 1 exactly when
+    lemma_base_feasible fails.  None proves nothing.
+    """
+    p = sig.p
+    a %= p
+    vals = sig.values
+    partner = [(a - v) % p for v in vals]  # weight of m in x_k * m
+    for size in range(1, len(vals) + 1):
+        for T in combinations(range(len(vals)), size):
+            quads = {
+                (vals[i] + vals[j]) % p
+                for i, j in combinations_with_replacement(T, 2)
+            }
+            if sum(w in quads for w in partner) < size:
+                return T
+    return None
+
+
 def fermat(n: int) -> CubicForm:
     """Sum of the n+2 variable cubes."""
     return CubicForm(n, {(i, i, i): 1 for i in range(n + 2)})
@@ -185,11 +213,6 @@ def partials(F: CubicForm) -> list[dict]:
         for key in [k for k, val in q.items() if val == 0]:
             del q[key]
     return out
-
-
-def evaluate_quadratic(q: dict, point) -> int:
-    """Evaluate a sparse pair-indexed quadratic at an integer point."""
-    return sum(c * point[i] * point[j] for (i, j), c in q.items())
 
 
 def form_to_json(F: CubicForm) -> dict:

@@ -12,7 +12,12 @@ import random
 from dataclasses import dataclass
 
 from .admissibility import ensure_prime
-from .forms import CubicForm, eigenspace_basis, lemma_base_feasible, partials
+from .forms import (
+    CubicForm,
+    coordinate_subspace_obstruction,
+    eigenspace_basis,
+    partials,
+)
 from .signatures import Signature
 
 # Avoids 2 and 3 (degree-3 differentiation constants must stay units); the
@@ -379,14 +384,14 @@ def find_smooth_member(
 
     Tries the all-ones coefficient vector first, then seeded uniform
     coefficients in [1, 50].  Returns (coefficients, certificate) for the
-    first certified member, or None after `trials` attempts; infeasible
-    eigenspaces (lemma filter) are rejected without any trials.  None is a
-    presumption, not a proof, that no smooth member exists.
+    first certified member, or None after `trials` attempts.  Eigenspaces
+    with a coordinate-subspace obstruction (the lemma filter included) have
+    only singular members and are rejected without any trials; any other
+    None is a presumption, not a proof, that no smooth member exists.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    feasible, _ = lemma_base_feasible(sig, a)
-    if not feasible:
+    if coordinate_subspace_obstruction(sig, a) is not None:
         return None
     basis = eigenspace_basis(sig, a)
     if not basis.monomials:

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
     FermatGroupElement,
     RunConfig,
@@ -12,7 +15,13 @@ from cubiclass.classify import (
     fermat_realizes,
     normalizer_dim,
 )
-from cubiclass.forms import weight_of, CubicForm, eigenspace_basis
+from cubiclass.cli import GOLDEN_DIR
+from cubiclass.forms import (
+    CubicForm,
+    coordinate_subspace_obstruction,
+    eigenspace_basis,
+    weight_of,
+)
 from cubiclass.signatures import Signature, canonicalize, enumerate_orbits, equivalent
 from cubiclass.smoothness import is_smooth_mod_q
 
@@ -87,8 +96,25 @@ def test_every_class_accounted_for():
 def test_rejection_reasons():
     _, rejected, _ = classify_with_audit(3, 5)
     reasons = {r.sigma.values: r.rejected_reason for r in rejected}
-    assert reasons[(0, 0, 1, 2, 3)] == "no_smooth_member_after_20_trials"
+    assert reasons[(0, 0, 1, 2, 3)] == "coordinate_subspace"
     assert reasons[(0, 0, 0, 0, 1)] == "lemma_base"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_obstruction_spares_golden_families(n):
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    for row in doc["families"]:
+        sig = Signature(row["p"], tuple(row["sigma"]))
+        assert coordinate_subspace_obstruction(sig, row["weight"]) is None
+
+
+def test_fivefold_rejections_are_proofs():
+    for p in admissible_primes(5):
+        _, rejected, _ = classify_with_audit(5, p)
+        for r in rejected:
+            assert r.rejected_reason in ("lemma_base", "coordinate_subspace"), (
+                p, r.sigma.values, r.rejected_reason,
+            )
 
 
 def test_custom_trials_config():

@@ -3,8 +3,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from cubiclass.admissibility import admissible_primes
 from cubiclass.forms import (
     CubicForm,
+    coordinate_subspace_obstruction,
     eigenspace_basis,
     fermat,
     form_from_json,
@@ -17,7 +19,8 @@ from cubiclass.forms import (
     s3_dimension,
     weight_of,
 )
-from cubiclass.signatures import AffinePermAction, Signature, act
+from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
+from cubiclass.smoothness import is_smooth_mod_q
 
 
 def test_s3_dimension():
@@ -82,6 +85,45 @@ def test_lemma_base_examples():
     assert not ok and wit == 4  # the weight-3 variable needs -6 = 4, absent
     ok, _ = lemma_base_feasible(Signature(7, (0, 0, 0, 0, 0)), 0)
     assert ok
+
+
+def _class_weights(n):
+    for p in admissible_primes(n):
+        for sig in enumerate_orbits(p, n):
+            for a in range(p):
+                yield sig, a
+
+
+def test_coordinate_subspace_obstruction_examples():
+    # the empty F_5^2 family: singular where only x_0, x_1 are nonzero
+    assert coordinate_subspace_obstruction(Signature(5, (1, 1, 2, 2, 3, 4)), 0) == (0, 1)
+    assert coordinate_subspace_obstruction(Signature(3, (0, 0, 1, 1, 2)), 1) == (2, 3)
+    assert coordinate_subspace_obstruction(Signature(5, (0, 1, 2, 3, 4)), 0) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_obstruction_of_size_one_is_the_lemma(n):
+    for sig, a in _class_weights(n):
+        T = coordinate_subspace_obstruction(sig, a)
+        feasible, i = lemma_base_feasible(sig, a)
+        assert (T is not None and len(T) == 1) == (not feasible)
+        if not feasible:
+            assert T == (i,)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_obstructed_members_are_singular(n):
+    rng = random.Random(n)
+    seen = 0
+    for sig, a in _class_weights(n):
+        T = coordinate_subspace_obstruction(sig, a)
+        if T is None or len(T) < 2:
+            continue
+        seen += 1
+        basis = eigenspace_basis(sig, a)
+        F = CubicForm(n, {m: rng.randint(1, 50) for m in basis})
+        assert is_smooth_mod_q(F, 10007) is None, (sig, a, T)
+    assert seen > 0
 
 
 def test_fermat():

@@ -233,6 +233,16 @@ def test_find_smooth_member_short_circuit():
     assert find_smooth_member(Signature(5, (0, 0, 1, 2, 3)), 0) is None
 
 
+def test_find_smooth_member_skips_obstructed_eigenspace(monkeypatch):
+    import cubiclass.smoothness as smoothness
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran on an obstructed eigenspace")
+
+    monkeypatch.setattr(smoothness, "certify_smooth_over_Q", no_trials)
+    assert find_smooth_member(Signature(5, (1, 1, 2, 2, 3, 4)), 0) is None
+
+
 def test_find_smooth_member_klein_chain():
     p, sig = klein_signature(5)
     sorted_sig = Signature(p, sorted(sig.values))
