@@ -7,8 +7,6 @@ basis, the moduli-space dimension D = dim E - dim N, and the witness; every
 other class is reported with its rejection reason.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -39,18 +37,12 @@ class RunConfig:
     seed: int = 0
     moduli: tuple = DEFAULT_MODULI
     budget: int = 10**8
-    threads: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.strategy not in ("auto", "exhaustive", "chain_pruned"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    def worker_count(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        return max(1, int(os.environ.get("CUBICLASS_THREADS", "1")))
 
 
 @dataclass
@@ -270,15 +262,9 @@ def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
     if not is_admissible(p, n):
         return [], [], [f"{p} not admissible in dimension {n}"]
     strategy = _resolve_strategy(p, n, config)
-    classes = enumerate_orbits(p, n, strategy, config.budget)
-    workers = config.worker_count()
-    if workers > 1 and len(classes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: _process_class(c, config), classes))
-    else:
-        outcomes = [_process_class(c, config) for c in classes]
     accepted, rejected = [], []
-    for recs, rej in outcomes:
+    for c in enumerate_orbits(p, n, strategy, config.budget):
+        recs, rej = _process_class(c, config)
         accepted.extend(recs)
         if rej is not None:
             rejected.append(rej)
@@ -363,33 +349,25 @@ def element_order_and_signature(el: FermatGroupElement):
 @lru_cache(maxsize=None)
 def fermat_order_classes(n: int) -> dict:
     """For each prime p, the signature classes realized inside the Fermat
-    symmetry group (permutations extended by diagonal cube roots)."""
+    symmetry group (permutations extended by diagonal cube roots).
+
+    Conjugating by a coordinate permutation keeps the eigenvalues, so one
+    permutation per cycle type suffices; the global cube-root scalars let
+    the first exponent be 0.
+    """
     m = n + 2
     raw = {}
+    cycle_types = set()
     for perm in permutations(range(m)):
-        cycles = _cycles(perm)
-        L = lcm(*(len(c) for c in cycles))
-        D = 3 * L
-        blocks = [(len(c), L // len(c), c) for c in cycles]
+        cycle_type = tuple(sorted(len(c) for c in _cycles(perm)))
+        if cycle_type in cycle_types:
+            continue
+        cycle_types.add(cycle_type)
         for tail in product((0, 1, 2), repeat=m - 1):
-            exps = (0,) + tail
-            nums = []
-            for clen, quot, cyc in blocks:
-                e_sum = sum(exps[i] for i in cyc) % 3
-                base = e_sum * quot
-                step = 3 * quot
-                for j in range(clen):
-                    nums.append((base + step * j) % D)
-            base0 = nums[0]
-            g = D
-            for x in nums:
-                g = gcd(g, x - base0)
-            order = D // g
-            if order <= 1 or not is_prime(order):
-                continue
-            p = order
-            sig = tuple(sorted((x - base0) % D * p // D % p for x in nums))
-            raw.setdefault(p, set()).add(sig)
+            el = FermatGroupElement(perm, (0,) + tail)
+            p, sig = element_order_and_signature(el)
+            if sig is not None:
+                raw.setdefault(p, set()).add(tuple(sorted(sig)))
     return {
         p: frozenset(_canonical_values(p, s) for s in sigs)
         for p, sigs in raw.items()

@@ -34,10 +34,6 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(out, text: str):
-    out.write(text)
-
-
 # ---------------------------------------------------------------------------
 # admissible
 
@@ -64,24 +60,24 @@ def cmd_admissible(args, out) -> int:
         else:
             rows.append({"n": n, "admissible_primes": list(admissible_primes(n))})
     if args.format == "json":
-        _emit(out, _dump(rows))
+        out.write(_dump(rows))
     elif args.format == "csv":
         for r in rows:
             if args.max_only:
-                _emit(out, f"{r['n']},{r['max_prime']}\n")
+                out.write(f"{r['n']},{r['max_prime']}\n")
             else:
                 primes = " ".join(str(p) for p in r["admissible_primes"])
-                _emit(out, f"{r['n']},{primes}\n")
+                out.write(f"{r['n']},{primes}\n")
     else:
         if args.max_only:
-            _emit(out, "| n | max prime |\n|---|---|\n")
+            out.write("| n | max prime |\n|---|---|\n")
             for r in rows:
-                _emit(out, f"| {r['n']} | {r['max_prime']} |\n")
+                out.write(f"| {r['n']} | {r['max_prime']} |\n")
         else:
-            _emit(out, "| n | admissible primes |\n|---|---|\n")
+            out.write("| n | admissible primes |\n|---|---|\n")
             for r in rows:
                 primes = ", ".join(str(p) for p in r["admissible_primes"])
-                _emit(out, f"| {r['n']} | {primes} |\n")
+                out.write(f"| {r['n']} | {primes} |\n")
     return EXIT_OK
 
 
@@ -119,28 +115,26 @@ def _classification_document(n: int, primes, config: RunConfig):
 
 def _render_classification(doc, fmt: str, out):
     if fmt == "json":
-        _emit(out, _dump(doc))
+        out.write(_dump(doc))
         return
     if fmt == "csv":
-        _emit(out, "label,p,n,sigma,weight,dim_E,dim_norm,D\n")
+        out.write("label,p,n,sigma,weight,dim_E,dim_norm,D\n")
         for r in doc["families"]:
-            _emit(
-                out,
+            out.write(
                 f"{r['label'] or ''},{r['p']},{r['n']},"
                 f"\"{_sigma_str(r['sigma'])}\",{r['weight']},"
                 f"{r['dim_E']},{r['dim_norm']},{r['D']}\n",
             )
         return
-    _emit(out, "| label | p | sigma | weight | dim_E | dim_norm | D |\n")
-    _emit(out, "|---|---|---|---|---|---|---|\n")
+    out.write("| label | p | sigma | weight | dim_E | dim_norm | D |\n")
+    out.write("|---|---|---|---|---|---|---|\n")
     for r in doc["families"]:
-        _emit(
-            out,
+        out.write(
             f"| {r['label'] or ''} | {r['p']} | {_sigma_str(r['sigma'])} "
             f"| {r['weight']} | {r['dim_E']} | {r['dim_norm']} | {r['D']} |\n",
         )
     for note in doc["notes"]:
-        _emit(out, f"\nnote: {note}\n")
+        out.write(f"\nnote: {note}\n")
 
 
 def cmd_classify(args, out) -> int:
@@ -173,21 +167,21 @@ def cmd_smooth(args, out) -> int:
         payload = json.loads(Path(args.form).read_text())
         F = form_from_json(payload)
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        _emit(out, f"error: {exc}\n")
+        out.write(f"error: {exc}\n")
         return EXIT_USAGE
     if not F:
-        _emit(out, "error: zero form\n")
+        out.write("error: zero form\n")
         return EXIT_USAGE
     witness = singular_point_from_lemma_base(F)
     if witness is not None:
-        _emit(out, _dump({"singular_witness": witness.to_json()}))
+        out.write(_dump({"singular_witness": witness.to_json()}))
         return EXIT_SINGULAR
     moduli = tuple(args.moduli) if args.moduli else DEFAULT_MODULI
     cert = certify_smooth_over_Q(F, moduli)
     if cert is None:
-        _emit(out, _dump({"result": "inconclusive", "moduli": list(moduli)}))
+        out.write(_dump({"result": "inconclusive", "moduli": list(moduli)}))
         return EXIT_INCONCLUSIVE
-    _emit(out, _dump({"certificate": cert.to_json()}))
+    out.write(_dump({"certificate": cert.to_json()}))
     return EXIT_OK
 
 
@@ -204,7 +198,7 @@ def cmd_spectrum(args, out) -> int:
         doc["stable_under"] = {"m": 11, "stable": is_stable_under(spec, 11)}
     else:
         doc["stable_under"] = None
-    _emit(out, _dump(doc))
+    out.write(_dump(doc))
     return EXIT_OK
 
 
@@ -233,7 +227,7 @@ def regen_golden(out) -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, text in _golden_documents():
         (GOLDEN_DIR / name).write_text(text)
-        _emit(out, f"wrote {GOLDEN_DIR / name}\n")
+        out.write(f"wrote {GOLDEN_DIR / name}\n")
     return EXIT_OK
 
 
@@ -305,7 +299,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     except ValueError as exc:
-        _emit(out, f"error: {exc}\n")
+        out.write(f"error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -144,8 +144,6 @@ def jacobian_ring_character(
 
 def is_stable_under(S: SpectrumSet, m: int) -> bool:
     """Is the exponent multiset fixed by e -> m*e mod p?"""
-    if m % S.p == 0:
-        raise ValueError("multiplier must be a unit mod p")
     if gcd(m, S.p) != 1:
         raise ValueError("multiplier must be coprime to p")
     scaled = sorted(m * e % S.p for e in S.exponents)

@@ -94,16 +94,22 @@ def act(sig: Signature, g: AffinePermAction) -> Signature:
     return Signature(p, out)
 
 
-def _canonical_values(p: int, vals) -> tuple:
-    """Lex-least sorted vector over the full a*sigma + b sweep."""
-    best = None
+def _zero_translates(p: int, vals):
+    """Every sorted orbit member a*sigma + b*1 that contains the value 0.
+
+    Such a member has b = -a*u for some value u of sigma, so only those
+    translations are tried.  The lex-least orbit member starts with 0, so
+    it is among them.
+    """
     for a in range(1, p):
         scaled = [a * v % p for v in vals]
-        for b in range(p):
-            cand = tuple(sorted((s + b) % p for s in scaled))
-            if best is None or cand < best:
-                best = cand
-    return best
+        for u in set(scaled):
+            yield tuple(sorted((s - u) % p for s in scaled))
+
+
+def _canonical_values(p: int, vals) -> tuple:
+    """Lex-least sorted vector over the a*sigma + b sweep."""
+    return min(_zero_translates(p, vals))
 
 
 def canonicalize(sig: Signature) -> Signature:
@@ -157,18 +163,18 @@ def normalize_weight(sig: Signature, a: int) -> Signature:
 
 
 def _emit_classes(p: int, n: int, multisets) -> list[Signature]:
-    """Canonicalize candidate multisets, deduplicate, drop the zero class."""
+    """Canonicalize sorted candidate multisets, deduplicate, drop the zero class.
+
+    handled holds the orbit members starting with 0 of every orbit seen so
+    far; translating a sorted multiset by its least value gives one of them.
+    """
     handled = set()
     classes = set()
     zero = (0,) * (n + 2)
     for vals in multisets:
-        if vals in handled:
+        if tuple(v - vals[0] for v in vals) in handled:
             continue
-        orbit = set()
-        for a in range(1, p):
-            scaled = [a * v % p for v in vals]
-            for b in range(p):
-                orbit.add(tuple(sorted((s + b) % p for s in scaled)))
+        orbit = set(_zero_translates(p, vals))
         handled |= orbit
         canon = min(orbit)
         if canon != zero:
@@ -217,11 +223,12 @@ def enumerate_orbits(
 ) -> list[Signature]:
     """Canonical representatives of all nonzero signature classes.
 
-    exhaustive walks every multiset of residues (complete; requires
-    p^(n+2) <= budget).  chain_pruned, for p > 3, emits exactly the classes
-    satisfying the closed-value-set necessary condition; it is a superset
-    of the classes carrying a smooth invariant form and stays tractable for
-    the large primes where exhaustive enumeration cannot run.
+    exhaustive walks every multiset of residues that starts with 0, which
+    meets every orbit (complete; requires p^(n+2) <= budget).  chain_pruned,
+    for p > 3, emits exactly the classes satisfying the closed-value-set
+    necessary condition; it is a superset of the classes carrying a smooth
+    invariant form and stays tractable for the large primes where
+    exhaustive enumeration cannot run.
     """
     ensure_prime(p)
     if n < 2:
@@ -232,7 +239,9 @@ def enumerate_orbits(
                 f"{p}^{n + 2} raw signatures exceed budget {budget}; "
                 "use the chain_pruned strategy"
             )
-        return _emit_classes(p, n, combinations_with_replacement(range(p), n + 2))
+        return _emit_classes(
+            p, n, ((0,) + c for c in combinations_with_replacement(range(p), n + 1))
+        )
     if strategy == "chain_pruned":
         if p <= 3:
             raise ValueError("chain_pruned requires p > 3")

@@ -33,14 +33,11 @@ def _sortkey(e):
 class PolyModQ:
     """Sparse polynomial over F_q keyed by exponent vectors, degrevlex order."""
 
-    __slots__ = ("q", "terms", "order")
+    __slots__ = ("q", "terms")
 
-    def __init__(self, q: int, terms, order: str = "degrevlex"):
+    def __init__(self, q: int, terms):
         ensure_prime(q)
-        if order != "degrevlex":
-            raise ValueError("only degrevlex is supported")
         self.q = q
-        self.order = order
         self.terms = {}
         nvars = None
         for e, c in dict(terms).items():
@@ -286,8 +283,8 @@ def _interreduce(basis: list, q: int) -> list:
     return out
 
 
-def groebner_basis(gens: list, order: str = "degrevlex") -> list:
-    """Reduced Groebner basis of a list of PolyModQ over a common modulus."""
+def groebner_basis(gens: list) -> list:
+    """Reduced degrevlex Groebner basis of PolyModQ over a common modulus."""
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -295,8 +292,6 @@ def groebner_basis(gens: list, order: str = "degrevlex") -> list:
     for g in gens:
         if g.q != q:
             raise ValueError("modulus mismatch among generators")
-        if g.order != order:
-            raise ValueError("order mismatch")
     nv = {g.nvars for g in gens}
     if len(nv) != 1:
         raise ValueError("generators must share a variable count")

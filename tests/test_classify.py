@@ -1,4 +1,5 @@
 import json
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from cubiclass.classify import (
     element_order_and_signature,
     family_dimension,
     fermat_membership,
+    fermat_order_classes,
     fermat_realizes,
     normalizer_dim,
 )
@@ -151,6 +153,24 @@ def test_element_order_and_signature():
     assert order == 1 and sigma is None
 
 
+def test_fermat_order_classes_match_full_group_sweep():
+    # One permutation per cycle type with exps[0] = 0 must give the same
+    # classes as every element of the Fermat symmetry group.
+    fermat_order_classes.cache_clear()
+    for n in (2, 3):
+        m = n + 2
+        expected = {}
+        for perm in permutations(range(m)):
+            for exps in product((0, 1, 2), repeat=m):
+                el = FermatGroupElement(perm, exps)
+                p, sigma = element_order_and_signature(el)
+                if sigma is not None:
+                    canon = canonicalize(Signature(p, sigma)).values
+                    expected.setdefault(p, set()).add(canon)
+        expected = {p: frozenset(v) for p, v in expected.items()}
+        assert fermat_order_classes(n) == expected
+
+
 def test_fermat_realizes_threefolds():
     assert fermat_realizes(3, 11, (1, 3, 4, 5, 9), 0) is False
     assert fermat_realizes(3, 5, (0, 1, 2, 3, 4), 0) is True
@@ -177,13 +197,6 @@ def test_fermat_membership_unsupported_dimension():
     rec = classify(2, 5)[0]
     with pytest.raises(ValueError):
         fermat_membership(2, rec)
-
-
-def test_thread_pool_output_identical(monkeypatch):
-    base = [r.to_json() for r in classify(3, 3)]
-    monkeypatch.setenv("CUBICLASS_THREADS", "4")
-    threaded = [r.to_json() for r in classify(3, 3)]
-    assert base == threaded
 
 
 def test_record_json_shape():

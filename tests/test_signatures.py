@@ -96,11 +96,12 @@ def test_canonicalize_klein_threefold_class():
 def test_canonicalize_idempotent_and_orbit_constant():
     rng = random.Random(11)
     for _ in range(200):
-        p = rng.choice((2, 3, 5, 7))
+        p = rng.choice((2, 3, 5, 7, 31, 127))
         m = rng.randrange(4, 8)
         sig = Signature(p, [rng.randrange(p) for _ in range(m)])
         g = random_action(rng, p, m)
         c = canonicalize(sig)
+        assert c.values == brute_canonical(p, sig.values)
         assert canonicalize(act(sig, g)) == c
         assert canonicalize(c) == c
 
@@ -181,7 +182,9 @@ def test_enumerate_counts():
 
 
 def test_enumerate_against_orbit_partition():
-    for p, m in ((2, 5), (3, 4), (5, 4)):
+    # The oracle's scaling move is x -> 2x, so p > 2 must have 2 as a
+    # primitive root.
+    for p, m in ((2, 5), (3, 4), (5, 4), (11, 4), (13, 4)):
         count, _ = orbit_partition_oracle(p, m)
         assert len(enumerate_orbits(p, m - 2)) == count
 
