@@ -58,27 +58,25 @@ class SpectrumSet:
 
 
 def _rank_mod_q(rows: list, q: int) -> int:
-    rank = 0
-    rows = [row[:] for row in rows if any(row)]
-    ncols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rows and pivot_col < ncols:
-        pivot = next((r for r in rows if r[pivot_col] % q), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows.remove(pivot)
-        inv = pow(pivot[pivot_col], -1, q)
-        pivot = [x * inv % q for x in pivot]
-        for r in rows:
-            f = r[pivot_col] % q
-            if f:
-                for k in range(pivot_col, ncols):
-                    r[k] = (r[k] - f * pivot[k]) % q
-        rows = [r for r in rows if any(r)]
-        rank += 1
-        pivot_col += 1
-    return rank
+    """Rank over F_q of sparse {col: coef} rows, each reduced in place by the
+    monic pivots (keyed by leading column) and kept as a pivot if nonzero."""
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, q)
+                pivots[lead] = {k: c * inv % q for k, c in row.items()}
+                break
+            f = row[lead]
+            for k, c in pivot.items():
+                v = (row.get(k, 0) - f * c) % q
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    return len(pivots)
 
 
 def jacobian_ring_character(
@@ -123,11 +121,11 @@ def jacobian_ring_character(
             col = cols.get(w)
             if col is None:
                 continue
-            row = [0] * len(col)
+            row = {}
             for (a, b), c in dq.items():
-                key = tuple(sorted(mono + (a, b)))
-                row[col[key]] = (row[col[key]] + c) % q
-            rows[w].append(row)
+                k = col[tuple(sorted(mono + (a, b)))]
+                row[k] = (row.get(k, 0) + c) % q
+            rows[w].append({k: c for k, c in row.items() if c})
 
     exps = []
     total_rank = 0

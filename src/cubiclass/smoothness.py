@@ -119,139 +119,146 @@ class SingularWitness:
         return {"point": list(self.point)}
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class _Packed:
+    """Exponent vectors as one int: variable i in bits [16i, 16i + 15), a
+    clear guard bit 16i + 15, and the total degree above the last field.
+
+    Total degrees stay below 2**15, so products and shifts are one + or -,
+    lm | e exactly when e - lm sets no guard bit, and e ^ varmax is the
+    degrevlex key (degree, then complemented fields from the last variable).
+    """
+
+    CAP = 1 << 15
+
+    def __init__(self, nv: int):
+        self.nv = nv
+        self.top = 16 * nv
+        self.ones = sum(1 << (16 * i) for i in range(nv))
+        self.guard = self.ones << 15
+        self.varmax = self.guard - self.ones
+        self.key = self.varmax.__xor__
+
+    def pack(self, e) -> int:
+        if any(x < 0 for x in e) or sum(e) >= self.CAP:
+            raise ValueError(f"monomial {e} is outside the packed degree range")
+        return sum(x << (16 * i) for i, x in enumerate(e)) + (sum(e) << self.top)
+
+    def unpack(self, m) -> tuple:
+        return tuple(m >> (16 * i) & 0x7FFF for i in range(self.nv))
+
+    def lcm(self, a, b) -> int:
+        ge = ((a | self.guard) - b) & self.guard  # guard set where a_i >= b_i
+        take_a = ge - (ge >> 15)
+        v = (a & take_a) | (b & (self.varmax ^ take_a))
+        # field nv - 1 of v * ones sums every field: the degree, below 2**16
+        return v + ((v * self.ones >> (self.top - 16) & 0xFFFF) << self.top)
+
+    def pure_var(self, m):
+        d, v = m >> self.top, m & self.varmax
+        i = (v.bit_length() - 1) // 16
+        return i if d and v == d << (16 * i) else None
 
 
-def _normal_form(terms: dict, basis: list, q: int) -> dict:
-    """Full remainder of terms modulo a list of monic (lm, terms) pairs."""
+def _normal_form(terms: dict, basis: list, q: int, P: _Packed) -> dict:
+    """Full remainder of terms modulo a list of (lm, tail) pairs, each the
+    monic polynomial lm + tail.
+
+    Terms are taken in decreasing order and a reduction only adds smaller
+    ones, so a popped term never returns; cancelled terms stay as zeros.
+    """
+    guard, varmax = P.guard, P.varmax
     work = dict(terms)
-    heap = [(-sum(e), e[::-1], e) for e in work]
+    heap = [-(e ^ varmax) for e in work]
     heapq.heapify(heap)
     rem = {}
     while heap:
-        _, _, e = heapq.heappop(heap)
-        c = work.get(e)
+        e = -heapq.heappop(heap) ^ varmax
+        c = work[e]
         if not c:
             continue
-        for lm, rterms in basis:
-            if _divides(lm, e):
+        for lm, tail in basis:
+            shift = e - lm
+            if not shift & guard:
                 break
         else:
             rem[e] = c
-            del work[e]
             continue
-        shift = tuple(a - b for a, b in zip(e, lm))
-        del work[e]
-        for me, mc in rterms.items():
-            if me == lm:
-                continue
-            t = tuple(a + b for a, b in zip(me, shift))
+        for me, mc in tail.items():
+            t = me + shift
             prev = work.get(t)
             if prev is None:
-                nv = (-c * mc) % q
-                if nv:
-                    work[t] = nv
-                    heapq.heappush(heap, (-sum(t), t[::-1], t))
+                work[t] = -c * mc % q
+                heapq.heappush(heap, -(t ^ varmax))
             else:
-                nv = (prev - c * mc) % q
-                if nv:
-                    work[t] = nv
-                else:
-                    del work[t]
+                work[t] = (prev - c * mc) % q
     return rem
 
 
-def _monic(terms: dict, q: int) -> dict:
-    lm = max(terms, key=_sortkey)
-    lc = terms[lm]
-    if lc == 1:
-        return terms
-    inv = pow(lc, -1, q)
-    return {e: c * inv % q for e, c in terms.items()}
-
-
-def _spoly(lmf, f, lmg, g, q) -> dict:
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    sf = tuple(l - a for l, a in zip(lcm, lmf))
-    sg = tuple(l - b for l, b in zip(lcm, lmg))
+def _spoly(lmf, f, lmg, g, q, P: _Packed) -> dict:
+    """S-polynomial of monic lmf + f and lmg + g, given by their tails."""
+    lcm = P.lcm(lmf, lmg)
+    sf, sg = lcm - lmf, lcm - lmg
     out = {}
     for e, c in f.items():
-        t = tuple(a + b for a, b in zip(e, sf))
+        t = e + sf
         out[t] = (out.get(t, 0) + c) % q
     for e, c in g.items():
-        t = tuple(a + b for a, b in zip(e, sg))
+        t = e + sg
         out[t] = (out.get(t, 0) - c) % q
     return {e: c for e, c in out.items() if c}
 
 
-def _pure_var(e):
-    nz = [i for i, x in enumerate(e) if x]
-    return nz[0] if len(nz) == 1 else None
-
-
-def _buchberger(gens: list, q: int, max_deg=None, stop_at_pure: bool = False):
+def _buchberger(gens: list, q: int, P: _Packed, max_deg=None, stop_at_pure=False):
     """Buchberger with the coprime and chain criteria, normal selection.
 
-    gens is a list of term dicts.  When max_deg is set (homogeneous inputs
-    only), pairs above that lcm degree are discarded; the result determines
-    the leading-term ideal up to max_deg.  With stop_at_pure the run ends
-    as soon as every variable has a pure-power leading monomial, which is
-    already a sound emptiness certificate.
+    gens is a list of term dicts over packed monomials.  When max_deg is set
+    (homogeneous inputs only), pairs above that lcm degree are discarded;
+    the result determines the leading-term ideal up to max_deg.  With
+    stop_at_pure the run ends as soon as every variable has a pure-power
+    leading monomial, which is already a sound emptiness certificate.
 
-    Returns (basis, pure) with basis a list of monic (lm, terms) pairs and
-    pure the dict of minimal pure-power exponents found per variable.
+    Returns (basis, pure) with basis a list of (lm, tail) pairs as in
+    _normal_form and pure the minimal pure-power exponent per variable.
     """
     basis = []
     pure = {}
-    nvars = None
     pairheap = []
     pending = set()
 
-    def note(lm):
-        v = _pure_var(lm)
-        if v is not None and (v not in pure or lm[v] < pure[v]):
-            pure[v] = lm[v]
-
     def push(h):
-        lm = max(h, key=_sortkey)
+        lm = max(h, key=P.key)
         idx = len(basis)
-        basis.append((lm, _monic(h, q)))
-        note(lm)
+        inv = pow(h[lm], -1, q)
+        basis.append((lm, {e: c * inv % q for e, c in h.items() if e != lm}))
+        v = P.pure_var(lm)
+        if v is not None and (v not in pure or lm >> P.top < pure[v]):
+            pure[v] = lm >> P.top
         for i in range(idx):
-            lcm = tuple(max(a, b) for a, b in zip(basis[i][0], lm))
-            heapq.heappush(pairheap, (_sortkey(lcm) + ((i, idx),)))
+            heapq.heappush(pairheap, (P.key(P.lcm(basis[i][0], lm)), i, idx))
             pending.add((i, idx))
-        return idx
 
     for g in gens:
-        if not g:
-            continue
-        if nvars is None:
-            nvars = len(next(iter(g)))
-        h = _normal_form(g, basis, q)
+        h = _normal_form(g, basis, q, P)
         if h:
             push(h)
 
     while pairheap:
-        if stop_at_pure and len(pure) == nvars:
+        if stop_at_pure and len(pure) == P.nv:
             break
-        key = heapq.heappop(pairheap)
-        i, j = key[-1]
+        key, i, j = heapq.heappop(pairheap)
         pending.discard((i, j))
-        if max_deg is not None and key[0] > max_deg:
+        if max_deg is not None and key >> P.top > max_deg:
             break
+        if key >> P.top >= P.CAP:
+            raise ValueError("Groebner basis leaves the packed degree range")
         lmi, fi = basis[i]
         lmj, fj = basis[j]
-        if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
+        lcm = key ^ P.varmax
+        if lcm == lmi + lmj:
             continue
-        lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
         skip = False
         for k in range(len(basis)):
-            if k in (i, j) or not _divides(basis[k][0], lcm):
+            if k in (i, j) or (lcm - basis[k][0]) & P.guard:
                 continue
             a, b = min(i, k), max(i, k)
             c, d = min(j, k), max(j, k)
@@ -260,31 +267,33 @@ def _buchberger(gens: list, q: int, max_deg=None, stop_at_pure: bool = False):
                 break
         if skip:
             continue
-        h = _normal_form(_spoly(lmi, fi, lmj, fj, q), basis, q)
+        h = _normal_form(_spoly(lmi, fi, lmj, fj, q, P), basis, q, P)
         if h:
             push(h)
 
     return basis, pure
 
 
-def _interreduce(basis: list, q: int) -> list:
+def _interreduce(basis: list, q: int, P: _Packed) -> list:
     """Minimal then fully tail-reduced basis; unique for the ideal and order."""
     kept = []
-    for lm, terms in sorted(basis, key=lambda it: _sortkey(it[0])):
-        if not any(_divides(k[0], lm) for k in kept):
-            kept.append((lm, terms))
+    for lm, tail in sorted(basis, key=lambda it: P.key(it[0])):
+        if all((lm - k[0]) & P.guard for k in kept):
+            kept.append((lm, tail))
     out = []
-    for idx, (lm, terms) in enumerate(kept):
+    for idx, (lm, tail) in enumerate(kept):
         others = [kept[i] for i in range(len(kept)) if i != idx]
-        tail = {e: c for e, c in terms.items() if e != lm}
-        red = _normal_form(tail, others, q)
+        red = _normal_form(tail, others, q, P)
         red[lm] = 1
         out.append((lm, red))
     return out
 
 
 def groebner_basis(gens: list) -> list:
-    """Reduced degrevlex Groebner basis of PolyModQ over a common modulus."""
+    """Reduced degrevlex Groebner basis of PolyModQ over a common modulus.
+
+    Raises ValueError once any monomial reaches total degree 2**15.
+    """
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -295,23 +304,25 @@ def groebner_basis(gens: list) -> list:
     nv = {g.nvars for g in gens}
     if len(nv) != 1:
         raise ValueError("generators must share a variable count")
-    raw, _ = _buchberger([dict(g.terms) for g in gens], q)
-    reduced = _interreduce(raw, q)
-    return [PolyModQ(q, terms) for _, terms in reduced]
+    P = _Packed(nv.pop())
+    packed = [{P.pack(e): c for e, c in g.terms.items()} for g in gens]
+    raw, _ = _buchberger(packed, q, P)
+    reduced = _interreduce(raw, q, P)
+    return [PolyModQ(q, {P.unpack(e): c for e, c in t.items()}) for _, t in reduced]
 
 
-def _partials_mod_q(F: CubicForm, q: int) -> list:
-    nv = F.n + 2
-    out = []
-    for dq in partials(F):
-        terms = {}
-        for (i, j), c in dq.items():
-            e = [0] * nv
-            e[i] += 1
-            e[j] += 1
-            terms[tuple(e)] = c % q
-        out.append({e: c for e, c in terms.items() if c})
-    return out
+def _partials_mod_q(F: CubicForm, q: int, P: _Packed) -> list:
+    return [
+        {(1 << 16 * i) + (1 << 16 * j) + (2 << P.top): c % q
+         for (i, j), c in dq.items() if c % q}
+        for dq in partials(F)
+    ]
+
+
+def _check_modulus(q: int):
+    ensure_prime(q)
+    if q in (2, 3):
+        raise ValueError("modulus must avoid 2 and 3")
 
 
 def is_smooth_mod_q(F: CubicForm, q: int):
@@ -324,14 +335,13 @@ def is_smooth_mod_q(F: CubicForm, q: int):
     bounds every minimal pure power by n+3; the computation is therefore
     truncated there and its verdict is exact in both directions.
     """
-    ensure_prime(q)
-    if q in (2, 3):
-        raise ValueError("modulus must avoid 2 and 3")
-    gens = _partials_mod_q(F, q)
+    _check_modulus(q)
+    nv = F.n + 2
+    P = _Packed(nv)
+    gens = _partials_mod_q(F, q, P)
     if not any(gens):
         raise ValueError(f"form vanishes mod {q}")
-    nv = F.n + 2
-    basis, pure = _buchberger(gens, q, max_deg=F.n + 3, stop_at_pure=True)
+    basis, pure = _buchberger(gens, q, P, max_deg=F.n + 3, stop_at_pure=True)
     if len(pure) == nv:
         return SmoothnessCertificate(
             modulus=q,
@@ -346,12 +356,15 @@ def certify_smooth_over_Q(F: CubicForm, q_list=DEFAULT_MODULI):
 
     A smooth reduction at one good prime forces the generic fiber to be
     smooth, so any single certificate is conclusive; running through the
-    list only guards against bad reduction.  Exhausting the list proves
-    nothing about singularity.
+    list only guards against bad reduction, such as a modulus dividing every
+    coefficient.  Exhausting the list proves nothing about singularity.
     """
     if not q_list:
         raise ValueError("empty modulus list")
     for q in q_list:
+        _check_modulus(q)
+        if all(c % q == 0 for c in F.terms.values()):
+            continue
         cert = is_smooth_mod_q(F, q)
         if cert is not None:
             return cert

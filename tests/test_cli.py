@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cubiclass.cli import GOLDEN_DIR, main
-from cubiclass.forms import form_to_json, klein
+from cubiclass.forms import fermat, form_to_json, klein
 
 
 def run_cli(*argv):
@@ -107,6 +107,20 @@ def test_smooth_inconclusive(tmp_path):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(doc))
     code, text = run_cli("smooth", str(path))
+    assert code == 5
+    assert json.loads(text)["result"] == "inconclusive"
+
+
+def test_smooth_form_vanishing_at_first_modulus(tmp_path):
+    doc = form_to_json(fermat(3))
+    for term in doc["terms"]:
+        term["c"] *= 10007
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli("smooth", str(path))
+    assert code == 0
+    assert json.loads(text)["certificate"]["modulus"] == 30011
+    code, text = run_cli("smooth", str(path), "--moduli", "10007")
     assert code == 5
     assert json.loads(text)["result"] == "inconclusive"
 

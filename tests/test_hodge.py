@@ -1,17 +1,20 @@
+import random
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from cubiclass.forms import CubicForm, fermat, klein, klein_signature
+from cubiclass.forms import CubicForm, eigenspace_basis, fermat, klein, klein_signature
 from cubiclass.hodge import (
     KLEIN5_TANGENT_EXPONENTS,
+    BadReductionError,
     SpectrumSet,
     is_stable_under,
     jacobian_ring_character,
     klein_tangent_spectrum,
 )
 from cubiclass.signatures import Signature
+from cubiclass.smoothness import certify_smooth_over_Q
 
 
 def multiset_difference_oracle(sig, d):
@@ -30,6 +33,43 @@ def multiset_difference_oracle(sig, d):
         for v in sig.values:
             counts[(-v) % p] -= 1
     return tuple(sorted(counts.elements()))
+
+
+def koszul_character(sig, d):
+    """t^d coefficient of prod(1 - t^2 z^-s_i) / prod(1 - t z^s_i).
+
+    For smooth invariant F the partials are a regular sequence of quadrics
+    of weights -s_i, so the Koszul complex resolves S/J(F) equivariantly and
+    this alternating sum is the character of its degree-d piece.
+    """
+    p, vals = sig.p, sig.values
+    counts = Counter()
+    for k in range(d // 2 + 1):
+        for drop in combinations(vals, k):
+            for mono in combinations_with_replacement(vals, d - 2 * k):
+                counts[(sum(mono) - sum(drop)) % p] += (-1) ** k
+    assert min(counts.values()) >= 0
+    return tuple(sorted(counts.elements()))
+
+
+def koszul_cases():
+    for n in (3, 5, 7):
+        p, sig = klein_signature(n)
+        yield klein(n), sig
+    rng = random.Random(11)
+    for p, vals in ((3, (0, 0, 1, 1, 2, 2)), (5, (0, 0, 1, 4, 2, 3)),
+                    (11, (0, 1, 3, 4, 5, 9))):
+        sig = Signature(p, vals)
+        monos = eigenspace_basis(sig, 0).monomials
+        yield CubicForm(4, {m: rng.randint(1, 1000) for m in monos}), sig
+
+
+def test_character_matches_koszul_series():
+    for F, sig in koszul_cases():
+        assert certify_smooth_over_Q(F) is not None
+        for d in range(F.n + 3):
+            spec = jacobian_ring_character(F, sig, d)
+            assert spec.exponents == koszul_character(sig, d), (sig, d)
 
 
 def test_degree_zero_is_constants():
@@ -54,11 +94,18 @@ def test_klein_fivefold_degree_two():
 
 
 def test_two_modulus_agreement():
-    for n, d in ((3, 1), (3, 2), (5, 2)):
+    for n, d in ((3, 1), (3, 2), (5, 2), (7, 7)):
         p, sig = klein_signature(n)
         s1 = jacobian_ring_character(klein(n), sig, d, 10007)
         s2 = jacobian_ring_character(klein(n), sig, d, 30011)
         assert s1.exponents == s2.exponents
+
+
+def test_character_bad_reduction_when_partials_vanish():
+    # Every partial of the Fermat cubic is 3 x_i^2, zero mod 3: all rows are
+    # empty and the degree-2 rank check must fail.
+    with pytest.raises(BadReductionError):
+        jacobian_ring_character(fermat(3), Signature(7, (0,) * 5), 2, q=3)
 
 
 def test_character_rejects_mixed_weight():

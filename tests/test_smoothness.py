@@ -121,6 +121,19 @@ def test_groebner_modulus_mismatch():
         groebner_basis([PolyModQ(7, {(1,): 1}), PolyModQ(11, {(1,): 1})])
 
 
+def test_groebner_rejects_degrees_past_packed_fields():
+    # Exponents live in 15-bit fields under the total degree; a monomial or
+    # an S-pair past 2**15 raises rather than wrapping into the next field.
+    with pytest.raises(ValueError):
+        groebner_basis([PolyModQ(7, {(1 << 15, 0): 1})])
+    with pytest.raises(ValueError):
+        groebner_basis([PolyModQ(7, {(0, 1 << 15): 1, (1, 0): 1})])
+    with pytest.raises(ValueError):
+        groebner_basis([PolyModQ(7, {(20000, 1): 1}), PolyModQ(7, {(1, 20000): 1})])
+    G = groebner_basis([PolyModQ(7, {((1 << 15) - 1, 0): 1, (0, 1): 1})])
+    assert [g.terms for g in G] == [{((1 << 15) - 1, 0): 1, (0, 1): 1}]
+
+
 def test_is_smooth_fermat():
     cert = is_smooth_mod_q(fermat(3), 10007)
     assert cert is not None
@@ -189,6 +202,16 @@ def test_certify_over_Q():
     assert certify_smooth_over_Q(fermat(4)) is not None
     with pytest.raises(ValueError):
         certify_smooth_over_Q(fermat(2), ())
+
+
+def test_certify_skips_moduli_dividing_every_coefficient():
+    # Every coefficient of F vanishes mod 10007: bad reduction there, not a
+    # verdict, so the search moves on to the next modulus.
+    F = CubicForm(3, {m: 10007 * c for m, c in fermat(3).terms.items()})
+    assert certify_smooth_over_Q(F).modulus == 30011
+    assert certify_smooth_over_Q(F, (10007,)) is None
+    with pytest.raises(ValueError):
+        certify_smooth_over_Q(F, (10007, 3))
 
 
 def test_missing_variable_is_inconclusive_with_witness():
