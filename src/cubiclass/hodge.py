@@ -14,7 +14,11 @@ from math import gcd
 from .admissibility import ensure_prime
 from .forms import CubicForm, klein, klein_signature, partials, weight_of
 from .signatures import Signature
-from .smoothness import DEFAULT_MODULI, certify_smooth_over_Q
+from .smoothness import (
+    DEFAULT_MODULI,
+    certify_smooth_over_Q,
+    complete_intersection_dim,
+)
 
 # Distinct exponents of the induced automorphism on the 21-dimensional
 # tangent space of the Klein fivefold's intermediate jacobian, mod 43.
@@ -87,7 +91,9 @@ def jacobian_ring_character(
     Requires F invariant (weight 0) under sig and certified smooth.  The
     degree-d piece of the Jacobian ideal is spanned by (degree d-2
     monomials) x (partials); each partial is a pure eigenvector of weight
-    -sigma_i, so ranks are taken weight by weight over F_q.
+    -sigma_i, so ranks are taken weight by weight over F_q.  The ranks must
+    add up to complete_intersection_dim(n + 2, d), the value for a smooth F;
+    a modulus at which they fall short raises BadReductionError.
     """
     ensure_prime(q)
     if d < 0:
@@ -133,9 +139,10 @@ def jacobian_ring_character(
         rank = _rank_mod_q(rows[w], q)
         total_rank += rank
         exps.extend([w] * (len(monos) - rank))
-    if d == 2 and total_rank != nv:
+    full = complete_intersection_dim(nv, d)
+    if total_rank != full:
         raise BadReductionError(
-            f"partials have rank {total_rank} != {nv} mod {q}"
+            f"degree-{d} Jacobian slice has rank {total_rank} != {full} mod {q}"
         )
     return SpectrumSet(p, tuple(sorted(exps)))
 

@@ -10,6 +10,7 @@ sound for smoothness over the rationals.
 import heapq
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .admissibility import ensure_prime
 from .forms import (
@@ -208,14 +209,22 @@ def _spoly(lmf, f, lmg, g, q, P: _Packed) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _buchberger(gens: list, q: int, P: _Packed, max_deg=None, stop_at_pure=False):
+def complete_intersection_dim(nv: int, d: int) -> int:
+    """dim of the degree-d slice of an ideal of nv quadrics in nv variables
+    that form a regular sequence: C(nv - 1 + d, d) - C(nv, d), since the
+    quotient has Hilbert series (1 + t)**nv.  Over any field this bounds
+    the slice of every ideal generated by nv quadrics."""
+    return comb(nv - 1 + d, d) - comb(nv, d)
+
+
+def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
     """Buchberger with the coprime and chain criteria, normal selection.
 
-    gens is a list of term dicts over packed monomials.  When max_deg is set
-    (homogeneous inputs only), pairs above that lcm degree are discarded;
-    the result determines the leading-term ideal up to max_deg.  With
-    stop_at_pure the run ends as soon as every variable has a pure-power
-    leading monomial, which is already a sound emptiness certificate.
+    gens is a list of term dicts over packed monomials.  With jacobian set,
+    gens are nv quadrics in nv variables and the run is Hilbert-driven as
+    proven in is_smooth_mod_q: a pair whose degree the leading monomials
+    already fill is dropped, a completed degree short of the bound ends the
+    run, and so does a pure-power leading monomial for every variable.
 
     Returns (basis, pure) with basis a list of (lm, tail) pairs as in
     _normal_form and pure the minimal pure-power exponent per variable.
@@ -241,16 +250,25 @@ def _buchberger(gens: list, q: int, P: _Packed, max_deg=None, stop_at_pure=False
         h = _normal_form(g, basis, q, P)
         if h:
             push(h)
+    # with jacobian: the degree-deg monomials some leading monomial divides
+    deg, lead = 2, {lm for lm, _ in basis}
+    steps = [(1 << 16 * i) + (1 << P.top) for i in range(P.nv)]
 
     while pairheap:
-        if stop_at_pure and len(pure) == P.nv:
+        if jacobian and len(pure) == P.nv:
             break
         key, i, j = heapq.heappop(pairheap)
         pending.discard((i, j))
-        if max_deg is not None and key >> P.top > max_deg:
-            break
         if key >> P.top >= P.CAP:
             raise ValueError("Groebner basis leaves the packed degree range")
+        if jacobian:
+            while deg < key >> P.top:
+                if len(lead) < complete_intersection_dim(P.nv, deg):
+                    return basis, pure
+                deg += 1
+                lead = {m + s for m in lead for s in steps}
+            if len(lead) == complete_intersection_dim(P.nv, deg):
+                continue
         lmi, fi = basis[i]
         lmj, fj = basis[j]
         lcm = key ^ P.varmax
@@ -270,6 +288,7 @@ def _buchberger(gens: list, q: int, P: _Packed, max_deg=None, stop_at_pure=False
         h = _normal_form(_spoly(lmi, fi, lmj, fj, q, P), basis, q, P)
         if h:
             push(h)
+            lead.add(basis[-1][0])
 
     return basis, pure
 
@@ -328,12 +347,25 @@ def _check_modulus(q: int):
 def is_smooth_mod_q(F: CubicForm, q: int):
     """Certificate that V(F) is smooth over the closure of F_q, or None.
 
-    Decided through the leading-term ideal of the Jacobian ideal: a pure
+    Decided through the leading-term ideal of the Jacobian ideal J: a pure
     power of every variable certifies projective emptiness of the singular
-    locus.  When the singular locus is empty the Jacobian ideal is an
-    artinian complete intersection of n+2 quadrics, whose socle degree
-    bounds every minimal pure power by n+3; the computation is therefore
-    truncated there and its verdict is exact in both directions.
+    locus (q avoids 3, so by Euler's formula V(J) is that locus).
+
+    The Groebner run is Hilbert-driven (Traverso, J. Symbolic Comput. 22,
+    1996).  Let nv = n + 2 and h(d) = complete_intersection_dim(nv, d).
+    Over any field dim J_d <= h(d): the Macaulay map's rank is lower
+    semicontinuous in the coefficients, so it never exceeds its generic
+    value h(d), which (x_i**2) attains.  The degree-d monomials L_d that
+    some basis leading monomial divides lie in in(J)_d, so once |L_d| =
+    h(d) they are all of it and every degree-d S-polynomial reduces to
+    zero; such pairs are dropped unreduced, leaving the basis and the
+    certificate as a full run gives them.  Pairs come in degree order, so
+    when the first pair of degree d pops the basis is a truncated Groebner
+    basis below d.  A completed degree with |L_d| < h(d) means the
+    partials are no regular sequence, J is not artinian, and F is
+    singular.  As h(d) counts every monomial for d >= nv + 1, a smooth F
+    has all its pure powers by degree nv + 1 and a singular one stops at
+    the first pair above it: the verdict is exact in both directions.
     """
     _check_modulus(q)
     nv = F.n + 2
@@ -341,7 +373,7 @@ def is_smooth_mod_q(F: CubicForm, q: int):
     gens = _partials_mod_q(F, q, P)
     if not any(gens):
         raise ValueError(f"form vanishes mod {q}")
-    basis, pure = _buchberger(gens, q, P, max_deg=F.n + 3, stop_at_pure=True)
+    basis, pure = _buchberger(gens, q, P, jacobian=True)
     if len(pure) == nv:
         return SmoothnessCertificate(
             modulus=q,

@@ -220,7 +220,8 @@ def _assert_klein_unique(n, p, records):
 
 def test_criterion_6_klein_uniqueness():
     t0 = time.perf_counter()
-    _assert_klein_unique(5, 43, classify(5, 43, RunConfig(strategy="chain_pruned")))
+    for n, p in ((5, 43), (9, 683), (11, 2731)):
+        _assert_klein_unique(n, p, classify(n, p, RunConfig(strategy="chain_pruned")))
     _assert_klein_unique(3, 11, classify(3, 11))
     _assert_klein_unique(2, 5, classify(2, 5))
     assert time.perf_counter() - t0 < 30.0

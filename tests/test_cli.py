@@ -189,7 +189,10 @@ def test_classify_md_table_n3():
     assert len(rows) == 8
 
 
-@pytest.mark.parametrize("name", ["admissible_tables.json", "classify_n2.json", "classify_n3.json"])
+@pytest.mark.parametrize(
+    "name",
+    ["admissible_tables.json", "classify_n2.json", "classify_n3.json", "classify_n5.json"],
+)
 def test_golden_files_exist(name):
     assert (GOLDEN_DIR / name).exists()
 
@@ -221,3 +224,14 @@ def test_golden_classification_n3_matches_fresh_run():
     doc, partial = _classification_document(3, list(admissible_primes(3)), RunConfig())
     assert not partial
     assert _dump(doc) == (GOLDEN_DIR / "classify_n3.json").read_text()
+
+
+def test_golden_classification_n5_matches_fresh_run():
+    # Pins every n = 5 witness certificate, basis_size included, so a change
+    # to the Groebner engine that alters the basis it builds shows up here.
+    from cubiclass.cli import _classification_document, _dump
+    from cubiclass.classify import RunConfig
+    from cubiclass.admissibility import admissible_primes
+    doc, partial = _classification_document(5, list(admissible_primes(5)), RunConfig())
+    assert not partial
+    assert _dump(doc) == (GOLDEN_DIR / "classify_n5.json").read_text()

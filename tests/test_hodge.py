@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -106,6 +107,17 @@ def test_character_bad_reduction_when_partials_vanish():
     # empty and the degree-2 rank check must fail.
     with pytest.raises(BadReductionError):
         jacobian_ring_character(fermat(3), Signature(7, (0,) * 5), 2, q=3)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_character_bad_reduction_above_degree_two(d):
+    # At a good modulus the piece has C(5, d) exponents.  At q = 3 every row
+    # is empty, so without a rank check at degree d the piece would hold
+    # every degree-d monomial (35 at d = 3).
+    sig = Signature(7, (0,) * 5)
+    assert len(jacobian_ring_character(fermat(3), sig, d, q=10007)) == comb(5, d)
+    with pytest.raises(BadReductionError):
+        jacobian_ring_character(fermat(3), sig, d, q=3)
 
 
 def test_character_rejects_mixed_weight():

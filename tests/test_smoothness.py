@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -12,11 +13,14 @@ from cubiclass.forms import (
     klein_signature,
     partials,
 )
+from cubiclass.hodge import _rank_mod_q
 from cubiclass.signatures import Signature
+from cubiclass import smoothness
 from cubiclass.smoothness import (
     DEFAULT_MODULI,
     PolyModQ,
     certify_smooth_over_Q,
+    complete_intersection_dim,
     find_smooth_member,
     groebner_basis,
     is_smooth_mod_q,
@@ -171,6 +175,83 @@ def test_singular_cone_not_certified():
         sum(c * point[i] * point[j] for (i, j), c in dq.items()) == 0
         for dq in partials(F)
     )
+
+
+def macaulay_rank(quadrics, nv, d, q):
+    """Rank over F_q of the degree-d slice of the ideal of quadrics given as
+    {(i, j): c} dicts: the span of every degree d-2 monomial times each."""
+    cols = {m: k for k, m in enumerate(combinations_with_replacement(range(nv), d))}
+    rows = []
+    for mono in combinations_with_replacement(range(nv), d - 2):
+        for g in quadrics:
+            row = {}
+            for (a, b), c in g.items():
+                k = cols[tuple(sorted(mono + (a, b)))]
+                row[k] = (row.get(k, 0) + c) % q
+            rows.append({k: c for k, c in row.items() if c})
+    return _rank_mod_q(rows, q)
+
+
+def nodal_cubic(rng, n):
+    """x0 * Q(x1, ...) + C(x1, ...): singular at the point (1:0:...:0)."""
+    rest = range(1, n + 2)
+    terms = {(0,) + m: rng.randint(1, 99) for m in combinations_with_replacement(rest, 2)}
+    terms.update({m: rng.randint(1, 99) for m in combinations_with_replacement(rest, 3)})
+    return CubicForm(n, terms)
+
+
+def test_jacobian_bound_against_macaulay_rank():
+    # complete_intersection_dim bounds the degree-d slice of any nv quadrics,
+    # with equality for the partials of a smooth cubic; degenerate systems
+    # fall short at degree nv + 1, where the bound counts every monomial.
+    q = 10007
+    rng = random.Random(29)
+    degenerate = []
+    for nv in (3, 4, 5):
+        for _ in range(3):
+            gens = [{m: rng.randint(1, 10**4) for m in combinations_with_replacement(range(nv), 2)}
+                    for _ in range(nv)]
+            for d in range(2, nv + 2):
+                assert macaulay_rank(gens, nv, d, q) <= complete_intersection_dim(nv, d)
+            degenerate.append((nv, gens[:-1] + [{}]))
+            degenerate.append((nv, gens[:-1] + [{m: 3 * c for m, c in gens[0].items()}]))
+    for n in (2, 3):
+        cone = CubicForm(n, {m: rng.randint(1, 99)
+                             for m in combinations_with_replacement(range(n + 1), 3)})
+        for F in (cone, nodal_cubic(rng, n)):
+            degenerate.append((n + 2, partials(F)))
+    for nv, gens in degenerate:
+        for d in range(2, nv + 2):
+            assert macaulay_rank(gens, nv, d, q) <= complete_intersection_dim(nv, d)
+        assert macaulay_rank(gens, nv, nv + 1, q) < comb(2 * nv, nv + 1)
+    smooth = [fermat(2), klein(2), fermat(3), klein(3)]
+    for n in (2, 3):
+        mons = list(combinations_with_replacement(range(n + 2), 3))
+        smooth += [CubicForm(n, {m: rng.randint(1, 10**4) for m in mons}) for _ in range(2)]
+    for F in smooth:
+        assert is_smooth_mod_q(F, q) is not None
+        nv = F.n + 2
+        for d in range(2, nv + 2):
+            assert macaulay_rank(partials(F), nv, d, q) == complete_intersection_dim(nv, d)
+
+
+def test_hilbert_driven_run_reduces_no_pair_to_zero(monkeypatch):
+    # On a smooth dense cubic every S-pair the bound proves zero is dropped
+    # unreduced: each normal form computed adds one basis element.
+    calls = []
+    normal_form = smoothness._normal_form
+
+    def counting(*args):
+        out = normal_form(*args)
+        calls.append(bool(out))
+        return out
+
+    monkeypatch.setattr(smoothness, "_normal_form", counting)
+    rng = random.Random(31)
+    mons = list(combinations_with_replacement(range(6), 3))
+    cert = is_smooth_mod_q(CubicForm(4, {m: rng.randint(1, 10**6) for m in mons}), 10007)
+    assert cert is not None
+    assert all(calls) and len(calls) == cert.basis_size
 
 
 def projective_points(q, nvars):

@@ -13,7 +13,12 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from cubiclass.forms import CubicForm
-from cubiclass.smoothness import PolyModQ, groebner_basis, is_smooth_mod_q
+from cubiclass.smoothness import (
+    PolyModQ,
+    groebner_basis,
+    is_smooth_mod_q,
+    singular_point_from_lemma_base,
+)
 
 
 def sympy_reduced_basis(gens_terms, nvars, q):
@@ -56,8 +61,40 @@ def test_reduced_basis_matches_reference():
         assert got == sympy_reduced_basis(gens, nv, q)
 
 
+def sympy_certifies(Fs, xs, q):
+    """Does the reference reduced basis of the partials hold a pure power of
+    every variable among its leading monomials?"""
+    G = sympy.groebner([sympy.diff(Fs, v) for v in xs], *xs, order="grevlex", modulus=q)
+    pure = set()
+    for g in G.polys:
+        lm = g.LM(order="grevlex")
+        nz = [(i, e) for i, e in enumerate(lm.exponents) if e]
+        if len(nz) == 1:
+            pure.add(nz[0][0])
+    return len(pure) == len(xs)
+
+
+def nodal_cubic(rng, n):
+    """x0*Q(x1..) + C(x1..) after x_i -> x_i + x0 for i >= 1: singular at
+    (1:-1:...:-1), and every variable has degree >= 2, so the lemma witness
+    does not fire."""
+    xs = sympy.symbols(f"x0:{n + 2}")
+    rest = xs[1:]
+    G = xs[0] * sum(rng.randint(-10, 10) * a * b
+                    for a, b in combinations_with_replacement(rest, 2))
+    G += sum(rng.randint(-10, 10) * a * b * c
+             for a, b, c in combinations_with_replacement(rest, 3))
+    Fs = sympy.expand(G.subs({x: x + xs[0] for x in rest}, simultaneous=True))
+    terms = {
+        tuple(i for i, e in enumerate(exps) for _ in range(e)): int(c)
+        for exps, c in sympy.Poly(Fs, *xs).terms()
+    }
+    return CubicForm(n, terms), Fs, xs
+
+
 def test_smoothness_verdicts_match_reference():
     rng = random.Random(23)
+    q = 10007
     checked = 0
     for _ in range(25):
         n = rng.choice((2, 3))
@@ -71,17 +108,16 @@ def test_smoothness_verdicts_match_reference():
         if not terms:
             continue
         F = CubicForm(n, terms)
-        q = 10007
         mine = is_smooth_mod_q(F, q) is not None
         xs = sympy.symbols(f"x0:{nv}")
         Fs = sum(c * xs[i] * xs[j] * xs[k] for (i, j, k), c in terms.items())
-        G = sympy.groebner([sympy.diff(Fs, v) for v in xs], *xs, order="grevlex", modulus=q)
-        pure = set()
-        for g in G.polys:
-            lm = g.LM(order="grevlex")
-            nz = [(i, e) for i, e in enumerate(lm.exponents) if e]
-            if len(nz) == 1:
-                pure.add(nz[0][0])
-        assert mine is (len(pure) == nv)
+        assert mine is sympy_certifies(Fs, xs, q)
         checked += 1
     assert checked >= 20
+    # Singular cubics with no singular coordinate point: the run must stop on
+    # a completed degree that falls short of the complete-intersection bound.
+    for n in (2, 2, 3, 3):
+        F, Fs, xs = nodal_cubic(rng, n)
+        assert singular_point_from_lemma_base(F) is None
+        assert is_smooth_mod_q(F, q) is None
+        assert not sympy_certifies(Fs, xs, q)
