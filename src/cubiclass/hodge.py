@@ -92,8 +92,10 @@ def jacobian_ring_character(
     degree-d piece of the Jacobian ideal is spanned by (degree d-2
     monomials) x (partials); each partial is a pure eigenvector of weight
     -sigma_i, so ranks are taken weight by weight over F_q.  The ranks must
-    add up to complete_intersection_dim(n + 2, d), the value for a smooth F;
-    a modulus at which they fall short raises BadReductionError.
+    add up to complete_intersection_dim(n + 2, d), the value for a smooth F.
+    When they fall short, ValueError is raised if F cannot be certified
+    smooth (the precondition fails at every modulus), and BadReductionError
+    otherwise (retry another modulus).
     """
     ensure_prime(q)
     if d < 0:
@@ -141,9 +143,10 @@ def jacobian_ring_character(
         exps.extend([w] * (len(monos) - rank))
     full = complete_intersection_dim(nv, d)
     if total_rank != full:
-        raise BadReductionError(
-            f"degree-{d} Jacobian slice has rank {total_rank} != {full} mod {q}"
-        )
+        msg = f"degree-{d} Jacobian slice has rank {total_rank} != {full} mod {q}"
+        if certify_smooth_over_Q(F) is None:
+            raise ValueError(f"form is not certified smooth: {msg}")
+        raise BadReductionError(msg)
     return SpectrumSet(p, tuple(sorted(exps)))
 
 

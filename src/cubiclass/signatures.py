@@ -6,6 +6,7 @@ subgroups exactly when one is a*pi(sigma) + b*1 of the other, so orbits of
 that group action are the classification unit everywhere downstream.
 """
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from .admissibility import ensure_prime, mult_order
@@ -94,22 +95,44 @@ def act(sig: Signature, g: AffinePermAction) -> Signature:
     return Signature(p, out)
 
 
-def _zero_translates(p: int, vals):
-    """Every sorted orbit member a*sigma + b*1 that contains the value 0.
+def _lead_blocks(p: int, vals, translate: bool = True):
+    """Sorted orbit members a*(sigma - u) that could be lex-least.
 
-    Such a member has b = -a*u for some value u of sigma, so only those
-    translations are tried.  The lex-least orbit member starts with 0, so
-    it is among them.
+    Let c be the lex-least sorted member of the orbit of sigma (under
+    a*pi(sigma) + b*1, or under scalings alone when translate is False).
+    c opens with a block of m zeros, m the top multiplicity of any value:
+    translating a more frequent value to 0 would give a smaller vector.
+    Scalings fix 0, so without translation the block is the zeros of
+    sigma.  If a nonzero value remains, c continues with a block of k ones,
+    k the top multiplicity among the other values: scaling by the inverse
+    of one of them would give a smaller vector.  So c = sort(a*(sigma - u))
+    for a value u of top multiplicity (u = 0 without translation) and
+    a = (v - u)^-1 for a value v != u of top multiplicity among the rest:
+    at most (n+2)(n+1) candidates, whatever p is.  The set of candidates
+    is the same for every member of the orbit.
     """
-    for a in range(1, p):
-        scaled = [a * v % p for v in vals]
-        for u in set(scaled):
-            yield tuple(sorted((s - u) % p for s in scaled))
+    vals = [v % p for v in vals]
+    counts = Counter(vals)
+    if translate:
+        top = max(counts.values())
+        leads = [u for u, c in counts.items() if c == top]
+    else:
+        leads = [0]
+    for u in leads:
+        rest = {v: c for v, c in counts.items() if v != u}
+        if not rest:
+            yield (0,) * len(vals)
+            continue
+        k = max(rest.values())
+        for v, c in rest.items():
+            if c == k:
+                a = pow(v - u, -1, p)
+                yield tuple(sorted(a * (s - u) % p for s in vals))
 
 
 def _canonical_values(p: int, vals) -> tuple:
     """Lex-least sorted vector over the a*sigma + b sweep."""
-    return min(_zero_translates(p, vals))
+    return min(_lead_blocks(p, vals))
 
 
 def canonicalize(sig: Signature) -> Signature:
@@ -117,9 +140,11 @@ def canonicalize(sig: Signature) -> Signature:
 
     The representative is the lexicographically least vector among
     sort(a*sigma + b*1) over all a in [1,p) and b in [0,p); sorting absorbs
-    the permutation part.  Published family signatures need not coincide
-    with this choice, so comparisons against external data go through
-    equivalent() rather than tuple equality.
+    the permutation part.  Only the lead-block members of _lead_blocks are
+    compared, so the cost is O((n+2)^2) sorts, independent of p.  Published
+    family signatures need not coincide with this choice, so comparisons
+    against external data go through equivalent() rather than tuple
+    equality.
     """
     return Signature(sig.p, _canonical_values(sig.p, sig.values))
 
@@ -139,13 +164,10 @@ def scaling_canonical(sig: Signature) -> Signature:
     """Lex-least sorted vector over scalings only (no translation).
 
     Unlike canonicalize this preserves which eigenspace carries weight 0,
-    so it is the normal form used for accepted family records.
+    so it is the normal form used for accepted family records.  It is the
+    least lead-block member with u = 0: O(n+2) sorts, independent of p.
     """
-    p = sig.p
-    best = min(
-        tuple(sorted(a * v % p for v in sig.values)) for a in range(1, p)
-    )
-    return Signature(p, best)
+    return Signature(sig.p, min(_lead_blocks(sig.p, sig.values, False)))
 
 
 def normalize_weight(sig: Signature, a: int) -> Signature:
@@ -165,21 +187,46 @@ def normalize_weight(sig: Signature, a: int) -> Signature:
 def _emit_classes(p: int, n: int, multisets) -> list[Signature]:
     """Canonicalize sorted candidate multisets, deduplicate, drop the zero class.
 
-    handled holds the orbit members starting with 0 of every orbit seen so
-    far; translating a sorted multiset by its least value gives one of them.
+    handled holds the lead-block members of every orbit seen so far, so a
+    multiset from _lead_shaped_multisets whose orbit was seen is skipped.
+    Other multisets miss handled and are deduplicated by classes.
     """
     handled = set()
     classes = set()
     zero = (0,) * (n + 2)
     for vals in multisets:
-        if tuple(v - vals[0] for v in vals) in handled:
+        if vals in handled:
             continue
-        orbit = set(_zero_translates(p, vals))
+        orbit = set(_lead_blocks(p, vals))
         handled |= orbit
         canon = min(orbit)
         if canon != zero:
             classes.add(canon)
     return [Signature(p, v) for v in sorted(classes)]
+
+
+def _lead_shaped_multisets(p: int, slots: int):
+    """Sorted nonzero multisets 0^m 1^k + rest with rest drawn from [2, p)
+    and every multiplicity in rest at most k <= m.
+
+    The canonical vector of every nonzero orbit has this shape (see
+    _lead_blocks), and each such multiset is a lead-block member of its
+    own orbit.
+    """
+    for m in range(1, slots):
+        for k in range(1, min(m, slots - m) + 1):
+            r = slots - m - k
+            head = (0,) * m + (1,) * k
+            if k == 1:
+                rests = combinations(range(2, p), r)
+            else:
+                rests = (
+                    c
+                    for c in combinations_with_replacement(range(2, p), r)
+                    if all(a != b for a, b in zip(c, c[k:]))
+                )
+            for rest in rests:
+                yield head + rest
 
 
 def _chain_multisets(p: int, n: int):
@@ -223,8 +270,10 @@ def enumerate_orbits(
 ) -> list[Signature]:
     """Canonical representatives of all nonzero signature classes.
 
-    exhaustive walks every multiset of residues that starts with 0, which
-    meets every orbit (complete; requires p^(n+2) <= budget).  chain_pruned,
+    exhaustive walks the multisets 0^m 1^k + rest of
+    _lead_shaped_multisets, which hold the canonical vector of every orbit
+    (complete; still requires p^(n+2) <= budget, the raw signature count,
+    so the strategy choice does not change).  chain_pruned,
     for p > 3, emits exactly the classes satisfying the closed-value-set
     necessary condition; it is a superset of the classes carrying a smooth
     invariant form and stays tractable for the large primes where
@@ -239,9 +288,7 @@ def enumerate_orbits(
                 f"{p}^{n + 2} raw signatures exceed budget {budget}; "
                 "use the chain_pruned strategy"
             )
-        return _emit_classes(
-            p, n, ((0,) + c for c in combinations_with_replacement(range(p), n + 1))
-        )
+        return _emit_classes(p, n, _lead_shaped_multisets(p, n + 2))
     if strategy == "chain_pruned":
         if p <= 3:
             raise ValueError("chain_pruned requires p > 3")

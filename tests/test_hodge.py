@@ -120,6 +120,16 @@ def test_character_bad_reduction_above_degree_two(d):
         jacobian_ring_character(fermat(3), sig, d, q=3)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_character_rejects_singular_form(d):
+    # A cone over the Fermat surface is singular over Q, so the rank falls
+    # short at every modulus: the precondition fails, not the reduction.
+    cone = CubicForm(3, {(i, i, i): 1 for i in range(4)})
+    assert certify_smooth_over_Q(cone) is None
+    with pytest.raises(ValueError, match="not certified smooth"):
+        jacobian_ring_character(cone, Signature(7, (0,) * 5), d)
+
+
 def test_character_rejects_mixed_weight():
     F = CubicForm(3, {(0, 0, 0): 1, (0, 0, 1): 1})
     with pytest.raises(ValueError):

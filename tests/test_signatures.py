@@ -1,8 +1,11 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
+from cubiclass.classify import fermat_order_classes, fermat_realizes
 from cubiclass.signatures import (
     AffinePermAction,
     BudgetExceededError,
@@ -13,6 +16,7 @@ from cubiclass.signatures import (
     equivalent,
     normalize_weight,
     scaling_canonical,
+    _lead_shaped_multisets,
 )
 
 
@@ -106,6 +110,60 @@ def test_canonicalize_idempotent_and_orbit_constant():
         assert canonicalize(c) == c
 
 
+def tied_vector(rng, p, m):
+    # Two or three values share the top multiplicity, so the lead block has
+    # several candidate values u; the other values often tie below it.
+    ties = rng.randrange(2, 4)
+    top = rng.randrange(1, m // ties + 1)
+    values = rng.sample(range(p), min(p, ties + m))
+    vals = [v for v in values[:ties] for _ in range(top)]
+    pool = [v for v in values[ties:] for _ in range(top)]
+    need = m - len(vals)
+    if len(pool) >= need:
+        vals += rng.sample(pool, need)
+    else:
+        vals += [rng.randrange(p) for _ in range(need)]
+    rng.shuffle(vals)
+    return vals
+
+
+def test_canonicalize_matches_brute_force_with_tied_multiplicities():
+    rng = random.Random(23)
+    for _ in range(300):
+        p = rng.choice((3, 5, 7, 11, 13, 31, 43))
+        m = rng.randrange(4, 10)
+        vals = tied_vector(rng, p, m)
+        assert canonicalize(Signature(p, vals)).values == brute_canonical(p, vals)
+
+
+def test_scaling_canonical_matches_sweep_over_every_scaling():
+    rng = random.Random(29)
+    for p in (2, 3, 5, 43, 683):
+        for _ in range(60):
+            m = rng.randrange(4, 10)
+            vals = tied_vector(rng, p, m)
+            sweep = min(tuple(sorted(a * v % p for v in vals)) for a in range(1, p))
+            assert scaling_canonical(Signature(p, vals)).values == sweep
+
+
+def test_fermat_realizes_reduces_values_mod_p():
+    # Unreduced entries must count with their residues: shifting every
+    # other entry by +p changes no answer.
+    rng = random.Random(31)
+    for n in (3, 4):
+        for p, classes in fermat_order_classes(n).items():
+            for vals in sorted(classes):
+                moved = [v + p * (i % 2) for i, v in enumerate(vals)]
+                assert fermat_realizes(n, p, vals, 0)
+                assert fermat_realizes(n, p, moved, 0)
+            for _ in range(40):
+                vals = [rng.randrange(p) for _ in range(n + 2)]
+                moved = [v + p * (i % 2) for i, v in enumerate(vals)]
+                assert fermat_realizes(n, p, moved, 0) == fermat_realizes(
+                    n, p, vals, 0
+                )
+
+
 def test_equivalent_examples():
     assert equivalent(Signature(2, (0, 0, 0, 1, 1)), Signature(2, (1, 1, 1, 0, 0)))
     assert equivalent(Signature(5, (0, 1, 2, 3, 4)), Signature(5, (0, 2, 4, 1, 3)))
@@ -187,6 +245,60 @@ def test_enumerate_against_orbit_partition():
     for p, m in ((2, 5), (3, 4), (5, 4), (11, 4), (13, 4)):
         count, _ = orbit_partition_oracle(p, m)
         assert len(enumerate_orbits(p, m - 2)) == count
+
+
+def burnside_orbit_count(p, n):
+    """Nonzero orbits of AGL(1, p) on (n+2)-multisets of Z/p (cycle index)."""
+    N = n + 2
+    total = comb(p + N - 1, N)  # identity
+    if N % p == 0:
+        total += p - 1  # translations: one p-cycle each
+    for a in range(2, p):
+        o, x = 1, a
+        while x != 1:
+            x, o = x * a % p, o + 1
+        c = (p - 1) // o
+        # x -> a*x + b: one fixed point and c cycles of length o, for each b.
+        total += p * sum(comb(j + c - 1, c - 1) for j in range(N // o + 1))
+    assert total % (p * (p - 1)) == 0
+    return total // (p * (p - 1)) - 1
+
+
+@pytest.mark.parametrize(
+    "p,n,count",
+    [
+        (2, 3, 2), (2, 7, 4), (3, 2, 3), (3, 4, 6), (3, 6, 9), (5, 3, 8),
+        (5, 5, 19), (7, 4, 27), (11, 4, 79), (11, 7, 853), (13, 4, 129),
+        (17, 5, 912), (43, 3, 856),
+    ],
+)
+def test_enumerate_matches_burnside_count(p, n, count):
+    assert burnside_orbit_count(p, n) == count
+    assert len(enumerate_orbits(p, n, "exhaustive", 10**10)) == count
+
+
+def test_exhaustive_walk_is_exactly_the_lead_shaped_multisets():
+    # Lead shape read off the multiplicities: 0 has the top multiplicity,
+    # and 1 the top multiplicity among the nonzero values.
+    def lead_shaped(c):
+        counts = Counter(c)
+        rest = [k for v, k in counts.items() if v != 0]
+        return (
+            counts[0] == max(counts.values())
+            and bool(rest)
+            and counts[1] == max(rest)
+        )
+
+    for p, slots in ((2, 5), (3, 8), (5, 5), (7, 8), (11, 5), (13, 4)):
+        walk = list(_lead_shaped_multisets(p, slots))
+        assert len(walk) == len(set(walk))
+        assert all(list(c) == sorted(c) for c in walk)
+        brute = {
+            c
+            for c in combinations_with_replacement(range(p), slots)
+            if lead_shaped(c)
+        }
+        assert set(walk) == brute
 
 
 def test_enumerate_budget():
