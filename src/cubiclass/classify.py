@@ -1,10 +1,12 @@
 """The classification pipeline: orbits -> feasibility -> certified witnesses.
 
-For each signature class the pipeline looks for an eigenweight whose
-eigenspace contains a form certified smooth over the rationals.  A class
-with a certified member becomes a FamilyRecord carrying the eigenspace
-basis, the moduli-space dimension D = dim E - dim N, and the witness; every
-other class is reported with its rejection reason.
+For each signature class the pipeline looks for eigenweights whose
+eigenspace contains a form certified smooth over the rationals.  A family
+is a pair (sigma, weight) up to the group action on pairs, named by its
+signatures.family_key; every key of a class with a certified member becomes
+a FamilyRecord carrying the eigenspace basis, the moduli-space dimension
+D = dim E - dim N, and the witness.  A class with no such key is reported
+with its rejection reason.
 """
 
 from dataclasses import dataclass
@@ -18,13 +20,7 @@ from .forms import (
     eigenspace_basis,
     lemma_base_feasible,
 )
-from .signatures import (
-    Signature,
-    _canonical_values,
-    enumerate_orbits,
-    normalize_weight,
-    scaling_canonical,
-)
+from .signatures import Signature, _canonical_values, enumerate_orbits, family_key
 from .smoothness import DEFAULT_MODULI, find_smooth_member
 
 
@@ -102,7 +98,7 @@ def family_dimension(sig: Signature, a: int) -> int:
 
 
 # Family labels for cross-referencing the published threefold/fourfold
-# tables; keyed by (p, canonical class values, weight).
+# tables; keyed by (p,) + family_key of the row.
 _THREEFOLD_LABELS = (
     ("T_2^1", 2, (0, 0, 0, 0, 1), 0),
     ("T_2^2", 2, (0, 0, 0, 1, 1), 0),
@@ -135,44 +131,8 @@ _FOURFOLD_LABELS = (
 def _label_table(n: int) -> dict:
     rows = {3: _THREEFOLD_LABELS, 4: _FOURFOLD_LABELS}.get(n, ())
     return {
-        (p, _canonical_values(p, vals), w): label for label, p, vals, w in rows
+        (p,) + family_key(Signature(p, vals), w): label for label, p, vals, w in rows
     }
-
-
-def _label_for(n: int, p: int, sig: Signature, weight: int):
-    return _label_table(n).get((p, _canonical_values(p, sig.values), weight))
-
-
-def _two_symmetric(sig: Signature) -> bool:
-    """For p = 3: is 2*sigma a translate-permute of sigma?
-
-    When true, squaring the generator identifies the weight-1 and weight-2
-    candidate families at this class.
-    """
-    p = sig.p
-    doubled = [2 * v % p for v in sig.values]
-    ref = tuple(sorted(sig.values))
-    return any(
-        tuple(sorted((v + b) % p for v in doubled)) == ref for b in range(p)
-    )
-
-
-def _accept(class_sig, rep, weight, result, n, p):
-    coeffs, cert = result
-    basis = eigenspace_basis(rep, weight)
-    dn = normalizer_dim(rep)
-    return FamilyRecord(
-        p=p,
-        n=n,
-        sigma=rep,
-        weight=weight,
-        dim_E=len(basis),
-        dim_norm=dn,
-        D=len(basis) - dn,
-        basis=basis.monomials,
-        witness=(coeffs, cert),
-        label=_label_for(n, p, class_sig, weight),
-    )
 
 
 def _process_class(class_sig: Signature, config: RunConfig):
@@ -180,50 +140,40 @@ def _process_class(class_sig: Signature, config: RunConfig):
 
     Only weights that pass the lemma filter and carry no coordinate-subspace
     obstruction are searched; on the others every member is provably
-    singular.  For p != 3 the eigenweight can be translated away, so the
-    class is examined through its weight-0 normalized representatives: every
-    searched weight yields one, duplicates are merged up to scaling,
-    and candidates are tried largest eigenspace first until a certified
-    member appears (at most one record per class).  For p = 3 translations
-    do not move the weight, so weights 0 and 1 (and 2, unless squaring the
-    generator folds it onto 1) are genuinely distinct candidate families
-    and each searched one is tried separately.
+    singular.  Searched weights that describe the same family share a
+    family_key; each distinct key is tried in key order, and every key with
+    a certified member becomes one record, whose sigma and weight are the
+    key itself.
     """
     p, n = class_sig.p, class_sig.n
-    records = []
-    if p == 3:
-        weights = [0, 1] if _two_symmetric(class_sig) else [0, 1, 2]
-    else:
-        weights = range(p)
-    feasible = [a for a in weights if lemma_base_feasible(class_sig, a)[0]]
+    feasible = [a for a in range(p) if lemma_base_feasible(class_sig, a)[0]]
     searched = [
         a for a in feasible if coordinate_subspace_obstruction(class_sig, a) is None
     ]
-
-    if p == 3:
-        for a in searched:
-            result = find_smooth_member(
-                class_sig, a, config.trials, config.seed, config.moduli
+    records = []
+    for weight, values in sorted({family_key(class_sig, a) for a in searched}):
+        rep = Signature(p, values)
+        result = find_smooth_member(
+            rep, weight, config.trials, config.seed, config.moduli
+        )
+        if result is None:
+            continue
+        basis = eigenspace_basis(rep, weight)
+        dn = normalizer_dim(rep)
+        records.append(
+            FamilyRecord(
+                p=p,
+                n=n,
+                sigma=rep,
+                weight=weight,
+                dim_E=len(basis),
+                dim_norm=dn,
+                D=len(basis) - dn,
+                basis=basis.monomials,
+                witness=result,
+                label=_label_table(n).get((p, weight, values)),
             )
-            if result is not None:
-                records.append(_accept(class_sig, class_sig, a, result, n, p))
-    else:
-        cands = {}
-        for a in searched:
-            rep = scaling_canonical(
-                Signature(p, sorted(normalize_weight(class_sig, a).values))
-            )
-            if rep.values not in cands:
-                cands[rep.values] = (len(eigenspace_basis(rep, 0)), a, rep)
-        for dim_e, _, rep in sorted(
-            cands.values(), key=lambda t: (-t[0], t[1])
-        ):
-            result = find_smooth_member(
-                rep, 0, config.trials, config.seed, config.moduli
-            )
-            if result is not None:
-                records.append(_accept(class_sig, rep, 0, result, n, p))
-                break
+        )
 
     if records:
         return records, None
@@ -249,7 +199,7 @@ def _process_class(class_sig: Signature, config: RunConfig):
 def _resolve_strategy(p: int, n: int, config: RunConfig) -> str:
     if config.strategy != "auto":
         return config.strategy
-    if p ** (n + 2) <= config.budget:
+    if p <= 3 or p ** (n + 2) <= config.budget:
         return "exhaustive"
     return "chain_pruned"
 

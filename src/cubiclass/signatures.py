@@ -184,6 +184,34 @@ def normalize_weight(sig: Signature, a: int) -> Signature:
     return Signature(p, tuple((v + b) % p for v in sig.values))
 
 
+def family_key(sig: Signature, a: int) -> tuple:
+    """Lex-least (weight, sorted sigma) over the orbit of the pair (sigma, a).
+
+    A form of eigenweight a under sigma has weight l*a + 3b under
+    l*pi(sigma) + b*1 (replace the generator by its l-th power, then scale
+    it), so the group acts on pairs by
+    (sigma, a) -> (l*pi(sigma) + b, l*a + 3b), and two pairs describe one
+    family exactly when they share an orbit.
+    When 3 is a unit mod p, b = -l*a/3 brings every weight to 0, and the
+    elements that keep weight 0 are those with 3b = 0, the scalings; so the
+    key is (0, scaling_canonical(normalize_weight(sigma, a))).  When p = 3,
+    3b = 0 for every b.  Weight 0 is then kept by the whole group, so the
+    key is (0, the canonical class values).  For a != 0 only l = a^-1 = a
+    reaches weight 1, and the elements that keep it are the translations,
+    so the key is (1, min over b of sort(a*sigma + b)).  This is the one
+    place that knows 3 need not be a unit mod p.
+    """
+    p = sig.p
+    a %= p
+    if p != 3:
+        return 0, scaling_canonical(normalize_weight(sig, a)).values
+    if a == 0:
+        return 0, _canonical_values(p, sig.values)
+    return 1, min(
+        tuple(sorted((a * v + b) % p for v in sig.values)) for b in range(p)
+    )
+
+
 def _emit_classes(p: int, n: int, multisets) -> list[Signature]:
     """Canonicalize sorted candidate multisets, deduplicate, drop the zero class.
 
@@ -284,9 +312,9 @@ def enumerate_orbits(
         raise ValueError("dimension must be >= 2")
     if strategy == "exhaustive":
         if p ** (n + 2) > budget:
+            hint = "use the chain_pruned strategy" if p > 3 else "raise --budget"
             raise BudgetExceededError(
-                f"{p}^{n + 2} raw signatures exceed budget {budget}; "
-                "use the chain_pruned strategy"
+                f"{p}^{n + 2} raw signatures exceed budget {budget}; {hint}"
             )
         return _emit_classes(p, n, _lead_shaped_multisets(p, n + 2))
     if strategy == "chain_pruned":

@@ -24,7 +24,13 @@ from cubiclass.forms import (
     eigenspace_basis,
     weight_of,
 )
-from cubiclass.signatures import Signature, canonicalize, enumerate_orbits, equivalent
+from cubiclass.signatures import (
+    Signature,
+    canonicalize,
+    enumerate_orbits,
+    equivalent,
+    family_key,
+)
 from cubiclass.smoothness import is_smooth_mod_q
 
 
@@ -108,6 +114,18 @@ def test_obstruction_spares_golden_families(n):
     for row in doc["families"]:
         sig = Signature(row["p"], tuple(row["sigma"]))
         assert coordinate_subspace_obstruction(sig, row["weight"]) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_golden_families_are_their_own_distinct_family_keys(n):
+    # Each golden file joins one classify_with_audit run per prime.
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    keys = set()
+    for row in doc["families"]:
+        key = family_key(Signature(row["p"], row["sigma"]), row["weight"])
+        assert key == (row["weight"], tuple(row["sigma"]))
+        keys.add((row["p"],) + key)
+    assert len(keys) == len(doc["families"])
 
 
 def test_fivefold_rejections_are_proofs():

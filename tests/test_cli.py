@@ -169,14 +169,17 @@ def test_no_command_usage():
 
 
 def test_classify_budget_exhaustion_partial():
-    code, text = run_cli(
-        "classify", "--n", "9", "--p", "683", "--strategy", "exhaustive",
-        "--budget", "1000",
-    )
-    assert code == 3
-    doc = json.loads(text)
-    assert doc["families"] == []
-    assert any("incomplete" in note for note in doc["notes"])
+    for argv in (
+        ("--n", "9", "--p", "683", "--strategy", "exhaustive", "--budget", "1000"),
+        # auto must not pick chain_pruned, which needs p > 3.
+        ("--n", "2", "--p", "3", "--budget", "10"),
+        ("--n", "2", "--p", "2", "--budget", "10"),
+    ):
+        code, text = run_cli("classify", *argv)
+        assert code == 3, argv
+        doc = json.loads(text)
+        assert doc["families"] == []
+        assert any("incomplete" in note for note in doc["notes"]), argv
 
 
 def test_classify_md_table_n3():
@@ -191,7 +194,13 @@ def test_classify_md_table_n3():
 
 @pytest.mark.parametrize(
     "name",
-    ["admissible_tables.json", "classify_n2.json", "classify_n3.json", "classify_n5.json"],
+    [
+        "admissible_tables.json",
+        "classify_n2.json",
+        "classify_n3.json",
+        "classify_n4.json",
+        "classify_n5.json",
+    ],
 )
 def test_golden_files_exist(name):
     assert (GOLDEN_DIR / name).exists()
@@ -208,30 +217,14 @@ def test_golden_admissible_tables_current():
         assert max_admissible_prime(int(n_str)) == p
 
 
-def test_golden_classification_n2_matches_fresh_run():
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_golden_classification_matches_fresh_run(n):
+    # At n = 5 this pins every witness certificate, basis_size included, so
+    # a change to the Groebner engine that alters the basis it builds shows
+    # up here.
     from cubiclass.cli import _classification_document, _dump
     from cubiclass.classify import RunConfig
     from cubiclass.admissibility import admissible_primes
-    doc, partial = _classification_document(2, list(admissible_primes(2)), RunConfig())
+    doc, partial = _classification_document(n, list(admissible_primes(n)), RunConfig())
     assert not partial
-    assert _dump(doc) == (GOLDEN_DIR / "classify_n2.json").read_text()
-
-
-def test_golden_classification_n3_matches_fresh_run():
-    from cubiclass.cli import _classification_document, _dump
-    from cubiclass.classify import RunConfig
-    from cubiclass.admissibility import admissible_primes
-    doc, partial = _classification_document(3, list(admissible_primes(3)), RunConfig())
-    assert not partial
-    assert _dump(doc) == (GOLDEN_DIR / "classify_n3.json").read_text()
-
-
-def test_golden_classification_n5_matches_fresh_run():
-    # Pins every n = 5 witness certificate, basis_size included, so a change
-    # to the Groebner engine that alters the basis it builds shows up here.
-    from cubiclass.cli import _classification_document, _dump
-    from cubiclass.classify import RunConfig
-    from cubiclass.admissibility import admissible_primes
-    doc, partial = _classification_document(5, list(admissible_primes(5)), RunConfig())
-    assert not partial
-    assert _dump(doc) == (GOLDEN_DIR / "classify_n5.json").read_text()
+    assert _dump(doc) == (GOLDEN_DIR / f"classify_n{n}.json").read_text()

@@ -14,6 +14,7 @@ from cubiclass.signatures import (
     canonicalize,
     enumerate_orbits,
     equivalent,
+    family_key,
     normalize_weight,
     scaling_canonical,
     _lead_shaped_multisets,
@@ -198,6 +199,40 @@ def test_scaling_canonical_preserves_multiset_class():
     sig = Signature(11, (1, 3, 4, 5, 9))
     assert scaling_canonical(sig).values == (1, 3, 4, 5, 9)
     assert scaling_canonical(Signature(11, (2, 6, 8, 10, 7))).values == (1, 3, 4, 5, 9)
+
+
+def brute_family_key(p, vals, a):
+    # Reference oracle: smallest (weight, sorted sigma) over every (l, b).
+    return min(
+        ((l * a + 3 * b) % p, tuple(sorted((l * v + b) % p for v in vals)))
+        for l in range(1, p)
+        for b in range(p)
+    )
+
+
+def test_family_key_matches_sweep_over_every_scaling_and_translation():
+    rng = random.Random(37)
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(40):
+            m = rng.randrange(4, 9)
+            sig = Signature(p, tied_vector(rng, p, m))
+            for a in range(p):
+                key = family_key(sig, a)
+                assert key == brute_family_key(p, sig.values, a)
+                g = random_action(rng, p, m)
+                assert family_key(act(sig, g), g.a * a + 3 * g.b) == key
+
+
+def test_family_key_folds_weight_two_onto_one_exactly_when_p3_doubling_translates():
+    rng = random.Random(41)
+    for _ in range(200):
+        sig = Signature(3, tied_vector(rng, 3, rng.randrange(4, 10)))
+        ref = tuple(sorted(sig.values))
+        translate = any(
+            tuple(sorted((2 * v + b) % 3 for v in sig.values)) == ref
+            for b in range(3)
+        )
+        assert (family_key(sig, 1) == family_key(sig, 2)) == translate
 
 
 def orbit_partition_oracle(p, m):
