@@ -1,12 +1,12 @@
 """The classification pipeline: orbits -> feasibility -> certified witnesses.
 
-For each signature class the pipeline looks for eigenweights whose
-eigenspace contains a form certified smooth over the rationals.  A family
-is a pair (sigma, weight) up to the group action on pairs, named by its
-signatures.family_key; every key of a class with a certified member becomes
-a FamilyRecord carrying the eigenspace basis, the moduli-space dimension
-D = dim E - dim N, and the witness.  A class with no such key is reported
-with its rejection reason.
+For each signature class the pipeline finds the eigenweights whose general
+member is smooth, by the lemma filter and the coordinate-subspace criterion
+alone.  A family is a pair (sigma, weight) up to the group action on pairs,
+named by its signatures.family_key; every such key becomes a FamilyRecord
+carrying the eigenspace basis, the moduli-space dimension D = dim E - dim N,
+and a witness certified smooth over the rationals.  A class with no such
+weight is reported with the reason that proves every member singular.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,8 @@ from .forms import (
     eigenspace_basis,
     lemma_base_feasible,
 )
-from .signatures import Signature, _canonical_values, enumerate_orbits, family_key
+from .signatures import BudgetExceededError, Signature, _canonical_values
+from .signatures import enumerate_orbits, family_key
 from .smoothness import DEFAULT_MODULI, find_smooth_member
 
 
@@ -136,20 +137,35 @@ def _label_table(n: int) -> dict:
 
 
 def _process_class(class_sig: Signature, config: RunConfig):
-    """Accept or reject one signature class.
+    """Accept or reject one signature class; the verdict depends on sigma alone.
 
-    Only weights that pass the lemma filter and carry no coordinate-subspace
-    obstruction are searched; on the others every member is provably
-    singular.  Searched weights that describe the same family share a
-    family_key; each distinct key is tried in key order, and every key with
-    a certified member becomes one record, whose sigma and weight are the
-    key itself.
+    A weight is searched when it passes the lemma filter and carries no
+    coordinate-subspace obstruction, which by that criterion is exactly when
+    its general member is smooth.  A class with no searched weight is
+    rejected as lemma_base or coordinate_subspace, both proofs.  Searched
+    weights that describe the same family share a family_key, and each
+    distinct key becomes one record, whose sigma and weight are the key and
+    whose witness find_smooth_member builds.  A key left without a witness
+    after config.trials attempts raises BudgetExceededError: the search ran
+    out, which is no evidence about the family.
     """
     p, n = class_sig.p, class_sig.n
     feasible = [a for a in range(p) if lemma_base_feasible(class_sig, a)[0]]
     searched = [
         a for a in feasible if coordinate_subspace_obstruction(class_sig, a) is None
     ]
+    if not searched:
+        rejected = FamilyRecord(
+            p=p,
+            n=n,
+            sigma=class_sig,
+            weight=None,
+            dim_E=None,
+            dim_norm=normalizer_dim(class_sig),
+            D=None,
+            rejected_reason="coordinate_subspace" if feasible else "lemma_base",
+        )
+        return [], rejected
     records = []
     for weight, values in sorted({family_key(class_sig, a) for a in searched}):
         rep = Signature(p, values)
@@ -157,7 +173,10 @@ def _process_class(class_sig: Signature, config: RunConfig):
             rep, weight, config.trials, config.seed, config.moduli
         )
         if result is None:
-            continue
+            raise BudgetExceededError(
+                f"class {class_sig.values}, family {values} at weight {weight}: "
+                f"no witness certified in {config.trials} trials; raise --trials"
+            )
         basis = eigenspace_basis(rep, weight)
         dn = normalizer_dim(rep)
         records.append(
@@ -174,26 +193,7 @@ def _process_class(class_sig: Signature, config: RunConfig):
                 label=_label_table(n).get((p, weight, values)),
             )
         )
-
-    if records:
-        return records, None
-    if searched:
-        reason = f"no_smooth_member_after_{config.trials}_trials"
-    elif feasible:
-        reason = "coordinate_subspace"
-    else:
-        reason = "lemma_base"
-    rejected = FamilyRecord(
-        p=p,
-        n=n,
-        sigma=class_sig,
-        weight=None,
-        dim_E=None,
-        dim_norm=normalizer_dim(class_sig),
-        D=None,
-        rejected_reason=reason,
-    )
-    return [], rejected
+    return records, None
 
 
 def _resolve_strategy(p: int, n: int, config: RunConfig) -> str:

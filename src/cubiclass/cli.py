@@ -217,7 +217,7 @@ def _golden_documents():
             },
         }
     )
-    for n in (2, 3, 4, 5):
+    for n in range(2, 7):
         config = RunConfig()
         doc, _ = _classification_document(n, list(admissible_primes(n)), config)
         yield f"classify_n{n}.json", _dump(doc)

@@ -135,16 +135,36 @@ def lemma_base_feasible(sig: Signature, a: int):
 
 def coordinate_subspace_obstruction(sig: Signature, a: int):
     """Smallest variable subset T on whose coordinate subspace every member
-    of the weight-a eigenspace is singular, or None.
+    of the weight-a eigenspace is singular, or None when the general member
+    is smooth.
 
-    On L = {x_j = 0, j not in T} the partial in x_k of every member
+    On L_T = {x_j = 0, j not in T} the partial in x_k of every member
     vanishes identically unless the eigenspace holds some monomial
-    x_k * m with m quadratic in x_T.  When
-    fewer than |T| indices k have such a term, fewer than |T| quadrics cut
-    L = P^(|T|-1), so they share a zero and every member is singular there
-    (the sound half of Iano-Fletcher's quasi-smoothness criterion).  Subsets
-    are searched by increasing size, so |T| = 1 exactly when
-    lemma_base_feasible fails.  None proves nothing.
+    x_k * m with m quadratic in x_T; call such k counted.  When fewer than
+    |T| indices are counted, fewer than |T| quadrics cut L_T = P^(|T|-1),
+    so they share a zero and every member is singular there.  Subsets are
+    searched by increasing size, so |T| = 1 exactly when
+    lemma_base_feasible fails.
+
+    None is a proof too (Iano-Fletcher, Working with weighted complete
+    intersections, 2000, Thm 8.1, for a monomial linear system).  The tori
+    U_T = {x_i != 0 exactly for i in T} partition P^(n+1); fix T and a
+    general member F.
+    - The eigenspace holds a monomial in x_T alone.  Then F|L_T is a
+      general member of a monomial system with no base point on U_T (a
+      monomial is nonzero there), so by Bertini in characteristic 0 it is
+      smooth on U_T, and by Euler's formula the partials in x_k, k in T,
+      have no common zero on U_T.
+    - It holds none.  Then no k in T is counted, and the counted k are the
+      k not in T whose quadric q_k(x_T) = dF/dx_k|L_T has a nonempty
+      monomial system.  Each term x_k * m has x_k to the first power, so
+      the q_k have disjoint, hence independent, coefficients.  With no base
+      point on U_T, each general q_k cuts every component of the set left
+      by the previous ones in dimension one less, or empties it.  Since
+      dim U_T = |T| - 1, at least |T| of them leave nothing.
+    So when no T obstructs, the smooth members form a nonempty Zariski-open
+    subset of the eigenspace defined over Q, and rational points are dense
+    in it.
     """
     p = sig.p
     a %= p

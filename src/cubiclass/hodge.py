@@ -163,10 +163,14 @@ def klein_tangent_spectrum(n: int) -> SpectrumSet:
     tangent space of the Klein n-fold, n in {3, 5}.
 
     Computed as the Jacobian-ring character in degree 1 (n = 3) or 2
-    (n = 5) at two moduli, which must agree.  Whether the raw set or its
-    negation is the tangent-space convention is settled against the stored
-    fivefold fixture and recorded; with no fixture the raw set is returned
-    untagged.
+    (n = 5) at one modulus; no other modulus can give another answer.  At
+    d < 2 the character is the monomial weights alone.  At d >= 2,
+    jacobian_ring_character checks that the total rank mod q equals
+    complete_intersection_dim, the rank over Q for a smooth F.  Rank cannot
+    rise mod q, so every weight block keeps its rank over Q, and the
+    character is the one over Q.  Whether the raw set or its negation is the
+    tangent-space convention is settled against the stored fivefold fixture
+    and recorded; with no fixture the raw set is returned untagged.
     """
     if n not in (3, 5):
         raise ValueError("supported dimensions are 3 and 5")
@@ -175,18 +179,15 @@ def klein_tangent_spectrum(n: int) -> SpectrumSet:
     p, sig = klein_signature(n)
     if certify_smooth_over_Q(F) is None:
         raise BadReductionError("could not certify the Klein form smooth")
-    first = jacobian_ring_character(F, sig, d, DEFAULT_MODULI[0])
-    second = jacobian_ring_character(F, sig, d, DEFAULT_MODULI[1])
-    if first.exponents != second.exponents:
-        raise BadReductionError("characters disagree between moduli")
+    chi = jacobian_ring_character(F, sig, d)
     if n == 3:
-        return first
-    raw = first.distinct()
+        return chi
+    raw = chi.distinct()
     neg = frozenset((-e) % p for e in raw)
-    if len(first) == len(raw) and raw == KLEIN5_TANGENT_EXPONENTS:
-        return SpectrumSet(p, first.exponents, "raw")
-    if len(first) == len(raw) and neg == KLEIN5_TANGENT_EXPONENTS:
+    if len(chi) == len(raw) and raw == KLEIN5_TANGENT_EXPONENTS:
+        return SpectrumSet(p, chi.exponents, "raw")
+    if len(chi) == len(raw) and neg == KLEIN5_TANGENT_EXPONENTS:
         return SpectrumSet(
-            p, tuple(sorted((-e) % p for e in first.exponents)), "negated"
+            p, tuple(sorted((-e) % p for e in chi.exponents)), "negated"
         )
-    return SpectrumSet(p, first.exponents, None)
+    return SpectrumSet(p, chi.exponents, None)

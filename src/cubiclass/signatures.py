@@ -13,7 +13,8 @@ from .admissibility import ensure_prime, mult_order
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when exhaustive enumeration would exceed the configured budget."""
+    """Raised when a work bound runs out before the answer is complete: the
+    enumeration budget, or the witness trials of a smooth family."""
 
 
 class Signature:

@@ -426,16 +426,15 @@ def find_smooth_member(
     coefficients in [1, 50].  Returns (coefficients, certificate) for the
     first certified member, or None after `trials` attempts.  Eigenspaces
     with a coordinate-subspace obstruction (the lemma filter included) have
-    only singular members and are rejected without any trials; any other
-    None is a presumption, not a proof, that no smooth member exists.
+    only singular members and are rejected without any trials.  On any
+    other eigenspace the general member is smooth, so a None there only
+    means the search ran out, not that no smooth member exists.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if coordinate_subspace_obstruction(sig, a) is not None:
         return None
     basis = eigenspace_basis(sig, a)
-    if not basis.monomials:
-        return None
     rng = random.Random(seed)
     for t in range(trials):
         if t == 0:

@@ -7,6 +7,7 @@ from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
     FermatGroupElement,
     RunConfig,
+    _resolve_strategy,
     classify,
     classify_all,
     classify_with_audit,
@@ -25,13 +26,14 @@ from cubiclass.forms import (
     weight_of,
 )
 from cubiclass.signatures import (
+    BudgetExceededError,
     Signature,
     canonicalize,
     enumerate_orbits,
     equivalent,
     family_key,
 )
-from cubiclass.smoothness import is_smooth_mod_q
+from cubiclass.smoothness import find_smooth_member, is_smooth_mod_q
 
 
 def test_normalizer_dim():
@@ -135,6 +137,29 @@ def test_fivefold_rejections_are_proofs():
             assert r.rejected_reason in ("lemma_base", "coordinate_subspace"), (
                 p, r.sigma.values, r.rejected_reason,
             )
+
+
+@pytest.mark.parametrize("n, pairs", [(2, 7), (3, 12), (4, 15), (5, 20)])
+def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
+    # The converse of the obstruction: on every weight, family key or not,
+    # that no coordinate subspace obstructs, the general member is smooth,
+    # so the default witness search certifies one.
+    found = []
+    for p in admissible_primes(n):
+        strategy = _resolve_strategy(p, n, RunConfig())
+        for c in enumerate_orbits(p, n, strategy):
+            for a in range(p):
+                if coordinate_subspace_obstruction(c, a) is None:
+                    assert find_smooth_member(c, a) is not None, (p, c.values, a)
+                    found.append((p, c.values, a))
+    assert len(found) == pairs
+
+
+def test_witness_search_running_out_is_not_a_rejection():
+    # With one trial the all-ones members of T_2^1 and T_2^2 are singular;
+    # the search ran out, so the run is incomplete rather than rejecting.
+    with pytest.raises(BudgetExceededError, match="1 trials"):
+        classify_with_audit(3, 2, RunConfig(trials=1))
 
 
 def test_custom_trials_config():

@@ -182,6 +182,19 @@ def test_classify_budget_exhaustion_partial():
         assert any("incomplete" in note for note in doc["notes"]), argv
 
 
+def test_classify_trials_exhaustion_partial():
+    # One trial certifies no witness for T_2^1 or F_7^1.  Running out of
+    # trials exits 3 with an incomplete note and rejects nothing.
+    for argv in (("--n", "3", "--p", "2"), ("--n", "4", "--p", "7")):
+        code, text = run_cli("classify", *argv, "--trials", "1")
+        assert code == 3, argv
+        doc = json.loads(text)
+        assert doc["families"] == [] and doc["rejected"] == [], argv
+        assert len(doc["notes"]) == 1, argv
+        assert "incomplete" in doc["notes"][0], argv
+        assert "--trials" in doc["notes"][0], argv
+
+
 def test_classify_md_table_n3():
     code, text = run_cli("classify", "--n", "3", "--format", "md")
     assert code == 0
@@ -200,6 +213,7 @@ def test_classify_md_table_n3():
         "classify_n3.json",
         "classify_n4.json",
         "classify_n5.json",
+        "classify_n6.json",
     ],
 )
 def test_golden_files_exist(name):
@@ -217,7 +231,7 @@ def test_golden_admissible_tables_current():
         assert max_admissible_prime(int(n_str)) == p
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_golden_classification_matches_fresh_run(n):
     # At n = 5 this pins every witness certificate, basis_size included, so
     # a change to the Groebner engine that alters the basis it builds shows
