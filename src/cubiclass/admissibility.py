@@ -1,15 +1,16 @@
 """Admissible prime orders of automorphisms of smooth cubic n-folds.
 
 A prime p is admissible in dimension n when p = 2 or (-2)^l = 1 mod p for
-some l in {1, ..., n+2}.  Every admissible prime satisfies p < 2^(n+1), so
-the full list for a given n is obtained by sieving up to that bound.
+some l in {1, ..., n+2}.  An odd prime satisfies this exactly when it
+divides some (-2)^l - 1, so the full list for a given n is 2 plus the
+prime factors of those n + 2 numbers.
 """
 
 from functools import lru_cache
 from math import isqrt
 
 # Witness set making Miller-Rabin deterministic for all inputs below 3.3e24,
-# far beyond the < 2^21 primes this package ever touches.
+# far beyond the primes this package touches.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -46,7 +47,11 @@ def ensure_prime(p: int) -> int:
 
 
 def _factor(m: int) -> list[int]:
-    """Distinct prime factors by trial division (inputs stay machine-word sized)."""
+    """Distinct prime factors of m >= 1, increasing, by trial division.
+
+    Inputs are p - 1 for a prime p and |(-2)^l - 1| for l <= n + 2, all at
+    most 2^(n+2) + 1, so at most about 2^((n+2)/2) divisors are tried.
+    """
     out = []
     for d in range(2, isqrt(m) + 1):
         if m % d == 0:
@@ -91,33 +96,19 @@ def is_admissible(p: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _primes_below(limit: int) -> tuple[int, ...]:
-    if limit <= 2:
-        return ()
-    sieve = bytearray((1,)) * limit
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(limit - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return tuple(i for i in range(limit) if sieve[i])
-
-
-@lru_cache(maxsize=None)
 def admissible_primes(n: int) -> tuple[int, ...]:
     """All admissible primes for dimension n, increasing.
 
-    Complete because every admissible prime is < 2^(n+1).  An odd prime p
-    satisfies the order criterion exactly when p divides some (-2)^l - 1
-    with l <= n+2, i.e. when p divides their product; that single bignum
-    divisibility test replaces per-prime order computations.
+    Complete by the criterion itself: an odd prime p has (-2)^l = 1 mod p
+    exactly when p divides (-2)^l - 1, so the odd admissible primes are the
+    prime factors of (-2)^l - 1 for l = 1, ..., n+2.  The bound p < 2^(n+1)
+    is a consequence, not an input.
     """
     _check_dimension(n)
-    mask = 1
+    primes = {2}
     for ell in range(1, n + 3):
-        mask *= abs((-2) ** ell - 1)
-    return tuple(
-        p for p in _primes_below(2 ** (n + 1)) if p == 2 or mask % p == 0
-    )
+        primes.update(_factor(abs((-2) ** ell - 1)))
+    return tuple(sorted(primes))
 
 
 def max_admissible_prime(n: int) -> int:

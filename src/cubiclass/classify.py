@@ -22,7 +22,7 @@ from .forms import (
 )
 from .signatures import BudgetExceededError, Signature, _canonical_values
 from .signatures import enumerate_orbits, family_key
-from .smoothness import DEFAULT_MODULI, find_smooth_member
+from .smoothness import find_smooth_member
 
 
 @dataclass
@@ -32,7 +32,6 @@ class RunConfig:
     strategy: str = "auto"
     trials: int = 20
     seed: int = 0
-    moduli: tuple = DEFAULT_MODULI
     budget: int = 10**8
 
     def __post_init__(self):
@@ -145,9 +144,10 @@ def _process_class(class_sig: Signature, config: RunConfig):
     rejected as lemma_base or coordinate_subspace, both proofs.  Searched
     weights that describe the same family share a family_key, and each
     distinct key becomes one record, whose sigma and weight are the key and
-    whose witness find_smooth_member builds.  A key left without a witness
-    after config.trials attempts raises BudgetExceededError: the search ran
-    out, which is no evidence about the family.
+    whose witness find_smooth_member builds.  Returns (records, rejected
+    record or None, names of the keys left without a witness after
+    config.trials attempts): a search that ran out is no evidence about the
+    family.
     """
     p, n = class_sig.p, class_sig.n
     feasible = [a for a in range(p) if lemma_base_feasible(class_sig, a)[0]]
@@ -165,18 +165,16 @@ def _process_class(class_sig: Signature, config: RunConfig):
             D=None,
             rejected_reason="coordinate_subspace" if feasible else "lemma_base",
         )
-        return [], rejected
-    records = []
+        return [], rejected, []
+    records, missing = [], []
     for weight, values in sorted({family_key(class_sig, a) for a in searched}):
         rep = Signature(p, values)
-        result = find_smooth_member(
-            rep, weight, config.trials, config.seed, config.moduli
-        )
+        result = find_smooth_member(rep, weight, config.trials, config.seed)
         if result is None:
-            raise BudgetExceededError(
-                f"class {class_sig.values}, family {values} at weight {weight}: "
-                f"no witness certified in {config.trials} trials; raise --trials"
+            missing.append(
+                f"class {class_sig.values}, family {values} at weight {weight}"
             )
+            continue
         basis = eigenspace_basis(rep, weight)
         dn = normalizer_dim(rep)
         records.append(
@@ -193,7 +191,7 @@ def _process_class(class_sig: Signature, config: RunConfig):
                 label=_label_table(n).get((p, weight, values)),
             )
         )
-    return records, None
+    return records, None, missing
 
 
 def _resolve_strategy(p: int, n: int, config: RunConfig) -> str:
@@ -205,19 +203,29 @@ def _resolve_strategy(p: int, n: int, config: RunConfig) -> str:
 
 
 def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
-    """(accepted records, rejected classes, notes) for one prime."""
+    """(accepted records, rejected classes, notes) for one prime.
+
+    Raises BudgetExceededError after every class is processed if any family
+    was left without a witness, naming each such family.
+    """
     config = config or RunConfig()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not is_admissible(p, n):
         return [], [], [f"{p} not admissible in dimension {n}"]
     strategy = _resolve_strategy(p, n, config)
-    accepted, rejected = [], []
+    accepted, rejected, missing = [], [], []
     for c in enumerate_orbits(p, n, strategy, config.budget):
-        recs, rej = _process_class(c, config)
+        recs, rej, miss = _process_class(c, config)
         accepted.extend(recs)
+        missing.extend(miss)
         if rej is not None:
             rejected.append(rej)
+    if missing:
+        raise BudgetExceededError(
+            f"no witness certified in {config.trials} trials for "
+            f"{'; '.join(missing)}; raise --trials"
+        )
     accepted.sort(key=lambda r: (r.sigma.values, r.weight))
     rejected.sort(key=lambda r: r.sigma.values)
     return accepted, rejected, []

@@ -144,7 +144,6 @@ def cmd_classify(args, out) -> int:
         strategy=args.strategy,
         trials=args.trials,
         seed=args.seed,
-        moduli=tuple(args.moduli) if args.moduli else DEFAULT_MODULI,
         budget=args.budget,
     )
     if args.p is not None:
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--trials", type=int, default=20)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--budget", type=int, default=10**8)
-    pc.add_argument("--moduli", type=int, nargs="*")
     pc.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
     ps = sub.add_parser("smooth", help="certify a cubic form file")

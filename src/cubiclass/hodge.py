@@ -21,7 +21,8 @@ from .smoothness import (
 )
 
 # Distinct exponents of the induced automorphism on the 21-dimensional
-# tangent space of the Klein fivefold's intermediate jacobian, mod 43.
+# tangent space of the Klein fivefold's intermediate jacobian, mod 43: the
+# published fixture that klein_tangent_spectrum(5) is checked against.
 KLEIN5_TANGENT_EXPONENTS = frozenset(
     (2, 3, 5, 8, 9, 12, 13, 14, 15, 17, 19, 20, 22, 25, 27, 32, 33, 36, 37, 39, 42)
 )
@@ -33,12 +34,10 @@ class BadReductionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Multiset of exponents mod p (repeats allowed), optionally tagged with
-    which sign convention matched the published fixture."""
+    """Multiset of exponents mod p (repeats allowed)."""
 
     p: int
     exponents: tuple
-    matched_convention: str | None = None
 
     def __len__(self):
         return len(self.exponents)
@@ -46,19 +45,8 @@ class SpectrumSet:
     def distinct(self) -> frozenset:
         return frozenset(self.exponents)
 
-    def negated(self) -> "SpectrumSet":
-        return SpectrumSet(
-            self.p,
-            tuple(sorted((-e) % self.p for e in self.exponents)),
-            self.matched_convention,
-        )
-
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "exponents": list(self.exponents),
-            "matched_convention": self.matched_convention,
-        }
+        return {"p": self.p, "exponents": list(self.exponents)}
 
 
 def _rank_mod_q(rows: list, q: int) -> int:
@@ -159,35 +147,32 @@ def is_stable_under(S: SpectrumSet, m: int) -> bool:
 
 
 def klein_tangent_spectrum(n: int) -> SpectrumSet:
-    """Exponent set of the induced action on the intermediate-jacobian
-    tangent space of the Klein n-fold, n in {3, 5}.
+    """Exponents of the Klein automorphism g on the tangent space of the
+    intermediate jacobian J(X) of the Klein n-fold X, n in {3, 5}, with g
+    acting on J(X) by push-forward.
 
-    Computed as the Jacobian-ring character in degree 1 (n = 3) or 2
-    (n = 5) at one modulus; no other modulus can give another answer.  At
-    d < 2 the character is the monomial weights alone.  At d >= 2,
+    Let g* x_i = zeta^sigma_i x_i, so a monomial of weight w spans the
+    zeta^w eigenline of g*.  Take d = (n - 1)/2.  By Griffiths' residue
+    theorem (Ann. Math. 90, 1969), A -> Res(A Omega / F^(d+1)) maps (S/J)_d
+    onto H^((n+1)/2, (n-1)/2)(X), and g* multiplies Omega by
+    zeta^(sum sigma).  The Klein signature has sigma_i = (-2)^i, so
+    sum sigma = ((-2)^(n+2) - 1)/(-3) = 0 mod p, because p divides
+    (-2)^(n+2) - 1 and p != 3.  So g* acts on H^((n+1)/2, (n-1)/2) with the
+    raw weights of (S/J)_d.  The tangent space of J(X) is the complex
+    conjugate H^((n-1)/2, (n+1)/2), on which g* has the negated weights, so
+    g_* = (g*)^-1 has the raw weights again.
+
+    The character is computed at one modulus; no other modulus can give
+    another answer.  At d < 2 it is the monomial weights alone.  At d >= 2,
     jacobian_ring_character checks that the total rank mod q equals
     complete_intersection_dim, the rank over Q for a smooth F.  Rank cannot
     rise mod q, so every weight block keeps its rank over Q, and the
-    character is the one over Q.  Whether the raw set or its negation is the
-    tangent-space convention is settled against the stored fivefold fixture
-    and recorded; with no fixture the raw set is returned untagged.
+    character is the one over Q.
     """
     if n not in (3, 5):
         raise ValueError("supported dimensions are 3 and 5")
-    d = 1 if n == 3 else 2
     F = klein(n)
     p, sig = klein_signature(n)
     if certify_smooth_over_Q(F) is None:
         raise BadReductionError("could not certify the Klein form smooth")
-    chi = jacobian_ring_character(F, sig, d)
-    if n == 3:
-        return chi
-    raw = chi.distinct()
-    neg = frozenset((-e) % p for e in raw)
-    if len(chi) == len(raw) and raw == KLEIN5_TANGENT_EXPONENTS:
-        return SpectrumSet(p, chi.exponents, "raw")
-    if len(chi) == len(raw) and neg == KLEIN5_TANGENT_EXPONENTS:
-        return SpectrumSet(
-            p, tuple(sorted((-e) % p for e in chi.exponents)), "negated"
-        )
-    return SpectrumSet(p, chi.exponents, None)
+    return jacobian_ring_character(F, sig, (n - 1) // 2)

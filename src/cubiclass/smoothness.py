@@ -413,22 +413,19 @@ def singular_point_from_lemma_base(F: CubicForm):
     return None
 
 
-def find_smooth_member(
-    sig: Signature,
-    a: int,
-    trials: int = 20,
-    seed: int = 0,
-    moduli=DEFAULT_MODULI,
-):
+def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
     """Search the weight-a eigenspace for a form certified smooth over Q.
 
     Tries the all-ones coefficient vector first, then seeded uniform
     coefficients in [1, 50].  Returns (coefficients, certificate) for the
-    first certified member, or None after `trials` attempts.  Eigenspaces
-    with a coordinate-subspace obstruction (the lemma filter included) have
-    only singular members and are rejected without any trials.  On any
-    other eigenspace the general member is smooth, so a None there only
-    means the search ran out, not that no smooth member exists.
+    first member certified smooth at DEFAULT_MODULI[0], or None after
+    `trials` attempts.  Eigenspaces with a coordinate-subspace obstruction
+    (the lemma filter included) have only singular members and are
+    rejected without any trials.  On any other eigenspace the general
+    member is smooth, so a trial is only a candidate: a certificate at one
+    prime is already a proof over Q, a failed trial is not retried at
+    another modulus, and a None only means the search ran out, not that no
+    smooth member exists.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -442,7 +439,7 @@ def find_smooth_member(
         else:
             coeffs = tuple(rng.randint(1, 50) for _ in basis.monomials)
         F = CubicForm(sig.n, dict(zip(basis.monomials, coeffs)))
-        cert = certify_smooth_over_Q(F, moduli)
+        cert = is_smooth_mod_q(F, DEFAULT_MODULI[0])
         if cert is not None:
             return coeffs, cert
     return None

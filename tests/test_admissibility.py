@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cubiclass.admissibility import (
@@ -116,6 +118,22 @@ def test_bound_property():
     for n in range(2, 21):
         for p in admissible_primes(n):
             assert p < 2 ** (n + 1)
+
+
+def test_order_criterion_and_bound_above_20():
+    # Factoring (-2)^l - 1 needs no sieve below 2^(n+1), so dimensions whose
+    # sieve would take gigabytes are cheap.
+    t0 = time.perf_counter()
+    previous = set()
+    for n in range(21, 31):
+        primes = admissible_primes(n)
+        for p in primes:
+            assert p < 2 ** (n + 1)
+            if p != 2:
+                assert mult_order(-2, p) <= n + 2, (n, p)
+        assert previous <= set(primes)
+        previous = set(primes)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_monotonicity():

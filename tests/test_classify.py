@@ -33,7 +33,7 @@ from cubiclass.signatures import (
     equivalent,
     family_key,
 )
-from cubiclass.smoothness import find_smooth_member, is_smooth_mod_q
+from cubiclass.smoothness import DEFAULT_MODULI, find_smooth_member, is_smooth_mod_q
 
 
 def test_normalizer_dim():
@@ -160,6 +160,24 @@ def test_witness_search_running_out_is_not_a_rejection():
     # the search ran out, so the run is incomplete rather than rejecting.
     with pytest.raises(BudgetExceededError, match="1 trials"):
         classify_with_audit(3, 2, RunConfig(trials=1))
+
+
+def test_witness_trials_certify_at_one_modulus(monkeypatch):
+    # A trial is only a candidate, so each one is certified at the first
+    # modulus alone; a failed trial is not retried at the others.
+    import cubiclass.smoothness as smoothness
+
+    real = smoothness.is_smooth_mod_q
+    moduli = []
+
+    def counting(F, q):
+        moduli.append(q)
+        return real(F, q)
+
+    monkeypatch.setattr(smoothness, "is_smooth_mod_q", counting)
+    for p in admissible_primes(4):
+        classify_with_audit(4, p)
+    assert moduli == [DEFAULT_MODULI[0]] * 17
 
 
 def test_custom_trials_config():

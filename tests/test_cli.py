@@ -147,7 +147,6 @@ def test_spectrum_klein5():
     doc = json.loads(text)
     assert len(doc["exponents"]) == 21
     assert doc["stable_under"] == {"m": 11, "stable": True}
-    assert doc["matched_convention"] in ("raw", "negated")
 
 
 def test_spectrum_klein3():
@@ -193,6 +192,21 @@ def test_classify_trials_exhaustion_partial():
         assert len(doc["notes"]) == 1, argv
         assert "incomplete" in doc["notes"][0], argv
         assert "--trials" in doc["notes"][0], argv
+
+
+def test_classify_trials_exhaustion_names_every_missing_family():
+    # Every class is tried before the run is declared incomplete, so the
+    # note names both threefold families that one trial leaves uncertified.
+    code, text = run_cli("classify", "--n", "3", "--p", "2", "--trials", "1")
+    assert code == 3
+    (note,) = json.loads(text)["notes"]
+    assert "(0, 0, 0, 0, 1)" in note and "(0, 0, 0, 1, 1)" in note
+
+
+def test_classify_has_no_moduli_option():
+    # Witness trials certify at one fixed modulus; only smooth takes --moduli.
+    code, _ = run_cli("classify", "--n", "3", "--moduli", "10007")
+    assert code == 2
 
 
 def test_classify_md_table_n3():

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -5,6 +6,7 @@ from math import comb
 
 import pytest
 
+from cubiclass.cli import GOLDEN_DIR
 from cubiclass.forms import CubicForm, eigenspace_basis, fermat, klein, klein_signature
 from cubiclass.hodge import (
     KLEIN5_TANGENT_EXPONENTS,
@@ -166,12 +168,12 @@ def test_klein_tangent_spectrum_fivefold():
     assert spec.p == 43
     assert len(spec) == 21
     assert spec.distinct() == KLEIN5_TANGENT_EXPONENTS
-    assert spec.matched_convention in ("raw", "negated")
     assert is_stable_under(spec, 11)
     assert is_stable_under(spec, 1)
     assert not is_stable_under(spec, -1)
     # stability verdicts agree for the set and its negation
-    assert is_stable_under(spec.negated(), 11)
+    negated = SpectrumSet(43, tuple(sorted(-e % 43 for e in spec.exponents)))
+    assert is_stable_under(negated, 11)
 
 
 def test_klein_tangent_spectrum_threefold():
@@ -179,6 +181,14 @@ def test_klein_tangent_spectrum_threefold():
     assert spec.p == 11
     assert len(spec) == 5
     assert spec.distinct() == frozenset((1, 3, 4, 5, 9))
+
+
+def test_klein_signature_weights_sum_to_zero():
+    # klein_tangent_spectrum reads the raw weights of (S/J)_d because the
+    # residue form Omega has weight sum(sigma) = 0 mod p.
+    for n in (3, 5, 7, 9):
+        p, sig = klein_signature(n)
+        assert sum(sig.values) % p == 0, n
 
 
 def test_klein_tangent_spectrum_rejects_other_n():
@@ -221,6 +231,24 @@ def test_full_space_character_permutation_invariant():
 def test_spectrum_json():
     spec = klein_tangent_spectrum(5)
     doc = spec.to_json()
+    assert sorted(doc) == ["exponents", "p"]
     assert doc["p"] == 43
-    assert doc["matched_convention"] == spec.matched_convention
     assert doc["exponents"] == sorted(doc["exponents"])
+
+
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 8), (4, 12), (5, 14), (6, 19)])
+def test_invariant_deformations_count_D(n, count):
+    # (S/J(F))_3 is the tangent space to the deformations of a smooth cubic,
+    # and its invariant part is the tangent space to the family, so weight 0
+    # occurs D = dim E - dim N times in the character of each golden witness.
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    checked = 0
+    for row in doc["families"]:
+        if row["weight"] != 0:
+            continue
+        coeffs = row["witness"]["coeffs"]
+        F = CubicForm(n, {tuple(m): c for m, c in zip(row["basis"], coeffs)})
+        chi = jacobian_ring_character(F, Signature(row["p"], row["sigma"]), 3)
+        assert chi.exponents.count(0) == row["D"], (row["p"], row["sigma"])
+        checked += 1
+    assert checked == count

@@ -343,7 +343,7 @@ def test_find_smooth_member_skips_obstructed_eigenspace(monkeypatch):
     def no_trials(*args):
         raise AssertionError("a trial ran on an obstructed eigenspace")
 
-    monkeypatch.setattr(smoothness, "certify_smooth_over_Q", no_trials)
+    monkeypatch.setattr(smoothness, "is_smooth_mod_q", no_trials)
     assert find_smooth_member(Signature(5, (1, 1, 2, 2, 3, 4)), 0) is None
 
 
