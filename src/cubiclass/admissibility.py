@@ -87,12 +87,14 @@ def _check_dimension(n: int) -> int:
 
 
 def is_admissible(p: int, n: int) -> bool:
-    """True iff p = 2 or the multiplicative order of -2 mod p is at most n + 2."""
+    """True iff p = 2 or (-2)^l = 1 mod p for some l in {1, ..., n+2}.
+
+    That is n + 2 modular powers whatever the size of p, where the order of
+    -2 would need the factors of p - 1.
+    """
     _check_dimension(n)
     ensure_prime(p)
-    if p == 2:
-        return True
-    return mult_order(-2, p) <= n + 2
+    return p == 2 or any(pow(-2, ell, p) == 1 for ell in range(1, n + 3))
 
 
 @lru_cache(maxsize=None)

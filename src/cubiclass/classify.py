@@ -206,7 +206,8 @@ def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
     """(accepted records, rejected classes, notes) for one prime.
 
     Raises BudgetExceededError after every class is processed if any family
-    was left without a witness, naming each such family.
+    was left without a witness, naming each such family and carrying the
+    rows that were decided.
     """
     config = config or RunConfig()
     if not is_prime(p):
@@ -221,13 +222,15 @@ def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
         missing.extend(miss)
         if rej is not None:
             rejected.append(rej)
+    accepted.sort(key=lambda r: (r.sigma.values, r.weight))
+    rejected.sort(key=lambda r: r.sigma.values)
     if missing:
         raise BudgetExceededError(
             f"no witness certified in {config.trials} trials for "
-            f"{'; '.join(missing)}; raise --trials"
+            f"{'; '.join(missing)}; raise --trials",
+            accepted,
+            rejected,
         )
-    accepted.sort(key=lambda r: (r.sigma.values, r.weight))
-    rejected.sort(key=lambda r: r.sigma.values)
     return accepted, rejected, []
 
 

@@ -97,8 +97,7 @@ def _classification_document(n: int, primes, config: RunConfig):
             acc, rej, why = classify_with_audit(n, p, config)
         except BudgetExceededError as exc:
             partial = True
-            notes.append(f"p={p}: incomplete: {exc}")
-            continue
+            acc, rej, why = exc.accepted, exc.rejected, [f"p={p}: incomplete: {exc}"]
         families.extend(r.to_json() for r in acc)
         rejected.extend(r.to_json() for r in rej)
         notes.extend(why)

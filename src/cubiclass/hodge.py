@@ -1,24 +1,22 @@
 """Characters on Jacobian-ring graded pieces and the Klein tangent spectra.
 
-A diagonal automorphism fixing F acts on each graded piece of S/J(F); the
-character is the weight multiset of the degree-d monomials minus the
-weights absorbed by the degree-d slice of the Jacobian ideal.  For the
-Klein three- and five-folds the degree-1 and degree-2 pieces carry the
-action on the tangent space of the intermediate jacobian.
+A diagonal automorphism scaling F by zeta^a acts on each graded piece of
+S/J(F).  When F is smooth its partials are a regular sequence of
+eigenvectors of weights a - sigma_i, so the Koszul complex resolves S/J(F)
+equivariantly and the character is read off the series
+prod(1 - t^2 zeta^(a - sigma_i)) / prod(1 - t zeta^sigma_i), whichever
+smooth F is taken.  For the Klein three- and five-folds the degree-1 and
+degree-2 pieces carry the action on the tangent space of the intermediate
+jacobian.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import gcd
 
-from .admissibility import ensure_prime
-from .forms import CubicForm, klein, klein_signature, partials, weight_of
+from .forms import CubicForm, klein, klein_signature, weight_of
 from .signatures import Signature
-from .smoothness import (
-    DEFAULT_MODULI,
-    certify_smooth_over_Q,
-    complete_intersection_dim,
-)
+from .smoothness import certify_smooth_over_Q
 
 # Distinct exponents of the induced automorphism on the 21-dimensional
 # tangent space of the Klein fivefold's intermediate jacobian, mod 43: the
@@ -26,10 +24,6 @@ from .smoothness import (
 KLEIN5_TANGENT_EXPONENTS = frozenset(
     (2, 3, 5, 8, 9, 12, 13, 14, 15, 17, 19, 20, 22, 25, 27, 32, 33, 36, 37, 39, 42)
 )
-
-
-class BadReductionError(RuntimeError):
-    """Rank pattern inconsistent with a good reduction; retry another modulus."""
 
 
 @dataclass(frozen=True)
@@ -49,93 +43,35 @@ class SpectrumSet:
         return {"p": self.p, "exponents": list(self.exponents)}
 
 
-def _rank_mod_q(rows: list, q: int) -> int:
-    """Rank over F_q of sparse {col: coef} rows, each reduced in place by the
-    monic pivots (keyed by leading column) and kept as a pivot if nonzero."""
-    pivots = {}
-    for row in rows:
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, q)
-                pivots[lead] = {k: c * inv % q for k, c in row.items()}
-                break
-            f = row[lead]
-            for k, c in pivot.items():
-                v = (row.get(k, 0) - f * c) % q
-                if v:
-                    row[k] = v
-                else:
-                    row.pop(k, None)
-    return len(pivots)
-
-
-def jacobian_ring_character(
-    F: CubicForm, sig: Signature, d: int, q: int = DEFAULT_MODULI[0]
-) -> SpectrumSet:
+def jacobian_ring_character(F: CubicForm, sig: Signature, d: int) -> SpectrumSet:
     """Weight multiset of the degree-d piece of S/J(F).
 
-    Requires F invariant (weight 0) under sig and certified smooth.  The
-    degree-d piece of the Jacobian ideal is spanned by (degree d-2
-    monomials) x (partials); each partial is a pure eigenvector of weight
-    -sigma_i, so ranks are taken weight by weight over F_q.  The ranks must
-    add up to complete_intersection_dim(n + 2, d), the value for a smooth F.
-    When they fall short, ValueError is raised if F cannot be certified
-    smooth (the precondition fails at every modulus), and BadReductionError
-    otherwise (retry another modulus).
+    Requires F an eigenvector of sig, of some weight a, and certified smooth
+    over Q.  The partials are then a regular sequence of quadrics of weights
+    a - sigma_i, and the equivariant Koszul complex makes the character the
+    t^d coefficient of prod(1 - t^2 z^(a - sigma_i)) / prod(1 - t z^sigma_i).
+    That coefficient is built degree by degree: series[k] maps each weight to
+    its signed count in degree k, first divided by every (1 - t z^sigma_i),
+    then multiplied by every (1 - t^2 z^(a - sigma_i)).
     """
-    ensure_prime(q)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    w = weight_of(F, sig)
-    if w is None:
+    a = weight_of(F, sig)
+    if a is None:
         raise ValueError("form is not an eigenvector of the given signature")
-    if w != 0:
-        raise ValueError(f"form has weight {w}, expected an invariant form")
+    if certify_smooth_over_Q(F) is None:
+        raise ValueError("form is not certified smooth over Q")
     p = sig.p
-    nv = F.n + 2
-    vals = sig.values
-
-    space = {}  # weight -> list of degree-d monomial index tuples
-    for mono in combinations_with_replacement(range(nv), d):
-        space.setdefault(sum(vals[i] for i in mono) % p, []).append(mono)
-
-    if d < 2:
-        exps = sorted(w for w, monos in space.items() for _ in monos)
-        return SpectrumSet(p, tuple(exps))
-
-    cols = {
-        w: {m: k for k, m in enumerate(monos)} for w, monos in space.items()
-    }
-    dparts = partials(F)
-    rows = {w: [] for w in space}
-    for mono in combinations_with_replacement(range(nv), d - 2):
-        mw = sum(vals[i] for i in mono)
-        for i, dq in enumerate(dparts):
-            w = (mw - vals[i]) % p
-            col = cols.get(w)
-            if col is None:
-                continue
-            row = {}
-            for (a, b), c in dq.items():
-                k = col[tuple(sorted(mono + (a, b)))]
-                row[k] = (row.get(k, 0) + c) % q
-            rows[w].append({k: c for k, c in row.items() if c})
-
-    exps = []
-    total_rank = 0
-    for w, monos in space.items():
-        rank = _rank_mod_q(rows[w], q)
-        total_rank += rank
-        exps.extend([w] * (len(monos) - rank))
-    full = complete_intersection_dim(nv, d)
-    if total_rank != full:
-        msg = f"degree-{d} Jacobian slice has rank {total_rank} != {full} mod {q}"
-        if certify_smooth_over_Q(F) is None:
-            raise ValueError(f"form is not certified smooth: {msg}")
-        raise BadReductionError(msg)
-    return SpectrumSet(p, tuple(sorted(exps)))
+    series = [Counter({0: 1})] + [Counter() for _ in range(d)]
+    for s in sig.values:
+        for k in range(1, d + 1):
+            for w, c in series[k - 1].items():
+                series[k][(w + s) % p] += c
+    for s in sig.values:
+        for k in range(d, 1, -1):
+            for w, c in series[k - 2].items():
+                series[k][(w + a - s) % p] -= c
+    return SpectrumSet(p, tuple(sorted(series[d].elements())))
 
 
 def is_stable_under(S: SpectrumSet, m: int) -> bool:
@@ -162,17 +98,11 @@ def klein_tangent_spectrum(n: int) -> SpectrumSet:
     conjugate H^((n-1)/2, (n+1)/2), on which g* has the negated weights, so
     g_* = (g*)^-1 has the raw weights again.
 
-    The character is computed at one modulus; no other modulus can give
-    another answer.  At d < 2 it is the monomial weights alone.  At d >= 2,
-    jacobian_ring_character checks that the total rank mod q equals
-    complete_intersection_dim, the rank over Q for a smooth F.  Rank cannot
-    rise mod q, so every weight block keeps its rank over Q, and the
-    character is the one over Q.
+    jacobian_ring_character certifies the Klein form smooth over Q and reads
+    the character off the Koszul series, which holds for every smooth
+    invariant form, so no modulus enters the answer.
     """
     if n not in (3, 5):
         raise ValueError("supported dimensions are 3 and 5")
-    F = klein(n)
     p, sig = klein_signature(n)
-    if certify_smooth_over_Q(F) is None:
-        raise BadReductionError("could not certify the Klein form smooth")
-    return jacobian_ring_character(F, sig, (n - 1) // 2)
+    return jacobian_ring_character(klein(n), sig, (n - 1) // 2)

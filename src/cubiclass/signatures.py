@@ -14,7 +14,14 @@ from .admissibility import ensure_prime, mult_order
 
 class BudgetExceededError(RuntimeError):
     """Raised when a work bound runs out before the answer is complete: the
-    enumeration budget, or the witness trials of a smooth family."""
+    enumeration budget, or the witness trials of a smooth family.  A witness
+    search that ran out carries the rows it did decide, as accepted and
+    rejected; an enumeration budget carries none."""
+
+    def __init__(self, message, accepted=(), rejected=()):
+        super().__init__(message)
+        self.accepted = list(accepted)
+        self.rejected = list(rejected)
 
 
 class Signature:

@@ -146,3 +146,12 @@ def test_order_criterion_tight():
         for p in admissible_primes(n):
             if p > 3:
                 assert mult_order(-2, p) <= n + 2
+
+
+def test_is_admissible_agrees_with_order():
+    # is_admissible tries the powers (-2)^l for l <= n + 2; the order of -2
+    # is the definition it must match.
+    for p in filter(is_prime, range(2, 2000)):
+        for n in range(2, 13):
+            expected = p == 2 or mult_order(-2, p) <= n + 2
+            assert is_admissible(p, n) is expected, (p, n)

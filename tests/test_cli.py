@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,17 @@ def test_classify_inadmissible_note():
     doc = json.loads(text)
     assert doc["families"] == []
     assert doc["notes"] == ["13 not admissible in dimension 4"]
+
+
+def test_classify_inadmissible_huge_prime_at_once():
+    # The criterion takes n + 2 modular powers; it never factors p - 1.
+    t0 = time.perf_counter()
+    code, text = run_cli("classify", "--n", "3", "--p", "1000000000000000003")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["families"] == [] and doc["rejected"] == []
+    assert doc["notes"] == ["1000000000000000003 not admissible in dimension 3"]
 
 
 def test_classify_json_shape():
@@ -141,9 +153,58 @@ def test_smooth_rejects_duplicates(tmp_path):
     assert code == 2
 
 
+# Full stdout of spectrum --klein 3 and --klein 5, byte for byte.
+SPECTRUM_KLEIN3 = (
+    '{\n'
+    '  "exponents": [\n'
+    '    1,\n'
+    '    3,\n'
+    '    4,\n'
+    '    5,\n'
+    '    9\n'
+    '  ],\n'
+    '  "p": 11,\n'
+    '  "stable_under": null\n'
+    '}\n'
+)
+SPECTRUM_KLEIN5 = (
+    '{\n'
+    '  "exponents": [\n'
+    '    2,\n'
+    '    3,\n'
+    '    5,\n'
+    '    8,\n'
+    '    9,\n'
+    '    12,\n'
+    '    13,\n'
+    '    14,\n'
+    '    15,\n'
+    '    17,\n'
+    '    19,\n'
+    '    20,\n'
+    '    22,\n'
+    '    25,\n'
+    '    27,\n'
+    '    32,\n'
+    '    33,\n'
+    '    36,\n'
+    '    37,\n'
+    '    39,\n'
+    '    42\n'
+    '  ],\n'
+    '  "p": 43,\n'
+    '  "stable_under": {\n'
+    '    "m": 11,\n'
+    '    "stable": true\n'
+    '  }\n'
+    '}\n'
+)
+
+
 def test_spectrum_klein5():
     code, text = run_cli("spectrum", "--klein", "5")
     assert code == 0
+    assert text == SPECTRUM_KLEIN5
     doc = json.loads(text)
     assert len(doc["exponents"]) == 21
     assert doc["stable_under"] == {"m": 11, "stable": True}
@@ -152,6 +213,7 @@ def test_spectrum_klein5():
 def test_spectrum_klein3():
     code, text = run_cli("spectrum", "--klein", "3")
     assert code == 0
+    assert text == SPECTRUM_KLEIN3
     doc = json.loads(text)
     assert len(doc["exponents"]) == 5
     assert doc["stable_under"] is None
@@ -181,14 +243,22 @@ def test_classify_budget_exhaustion_partial():
         assert any("incomplete" in note for note in doc["notes"]), argv
 
 
+def golden_rows(n, p, key):
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    return [r for r in doc[key] if r["p"] == p]
+
+
 def test_classify_trials_exhaustion_partial():
     # One trial certifies no witness for T_2^1 or F_7^1.  Running out of
-    # trials exits 3 with an incomplete note and rejects nothing.
-    for argv in (("--n", "3", "--p", "2"), ("--n", "4", "--p", "7")):
+    # trials exits 3 with an incomplete note, accepts nothing it did not
+    # certify and rejects exactly what a complete run rejects.
+    for n, p in ((3, 2), (4, 7)):
+        argv = ("--n", str(n), "--p", str(p))
         code, text = run_cli("classify", *argv, "--trials", "1")
         assert code == 3, argv
         doc = json.loads(text)
-        assert doc["families"] == [] and doc["rejected"] == [], argv
+        assert doc["families"] == [], argv
+        assert doc["rejected"] == golden_rows(n, p, "rejected"), argv
         assert len(doc["notes"]) == 1, argv
         assert "incomplete" in doc["notes"][0], argv
         assert "--trials" in doc["notes"][0], argv
@@ -201,6 +271,22 @@ def test_classify_trials_exhaustion_names_every_missing_family():
     assert code == 3
     (note,) = json.loads(text)["notes"]
     assert "(0, 0, 0, 0, 1)" in note and "(0, 0, 0, 1, 1)" in note
+
+
+def test_classify_trials_exhaustion_keeps_certified_families():
+    # One trial certifies F_3^1..F_3^6 but not F_3^7: the six rows are
+    # printed as a complete run prints them, beside the incomplete note.
+    code, text = run_cli("classify", "--n", "4", "--p", "3", "--trials", "1")
+    assert code == 3
+    doc = json.loads(text)
+    expected = [r for r in golden_rows(4, 3, "families") if r["label"] != "F_3^7"]
+    assert [r["label"] for r in doc["families"]] == [f"F_3^{i}" for i in range(1, 7)]
+    assert doc["families"] == expected
+    assert doc["rejected"] == []
+    assert doc["notes"] == [
+        "p=3: incomplete: no witness certified in 1 trials for class "
+        "(0, 0, 1, 1, 2, 2), family (0, 0, 1, 1, 2, 2) at weight 1; raise --trials"
+    ]
 
 
 def test_classify_has_no_moduli_option():

@@ -1,7 +1,7 @@
 import json
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -10,14 +10,16 @@ from cubiclass.cli import GOLDEN_DIR
 from cubiclass.forms import CubicForm, eigenspace_basis, fermat, klein, klein_signature
 from cubiclass.hodge import (
     KLEIN5_TANGENT_EXPONENTS,
-    BadReductionError,
     SpectrumSet,
     is_stable_under,
     jacobian_ring_character,
     klein_tangent_spectrum,
 )
 from cubiclass.signatures import Signature
-from cubiclass.smoothness import certify_smooth_over_Q
+from cubiclass.smoothness import certify_smooth_over_Q, complete_intersection_dim
+from rank_oracle import rank_character
+
+ORACLE_MODULI = (10007, 30011)
 
 
 def multiset_difference_oracle(sig, d):
@@ -38,41 +40,30 @@ def multiset_difference_oracle(sig, d):
     return tuple(sorted(counts.elements()))
 
 
-def koszul_character(sig, d):
-    """t^d coefficient of prod(1 - t^2 z^-s_i) / prod(1 - t z^s_i).
-
-    For smooth invariant F the partials are a regular sequence of quadrics
-    of weights -s_i, so the Koszul complex resolves S/J(F) equivariantly and
-    this alternating sum is the character of its degree-d piece.
-    """
-    p, vals = sig.p, sig.values
-    counts = Counter()
-    for k in range(d // 2 + 1):
-        for drop in combinations(vals, k):
-            for mono in combinations_with_replacement(vals, d - 2 * k):
-                counts[(sum(mono) - sum(drop)) % p] += (-1) ** k
-    assert min(counts.values()) >= 0
-    return tuple(sorted(counts.elements()))
-
-
 def koszul_cases():
     for n in (3, 5, 7):
         p, sig = klein_signature(n)
         yield klein(n), sig
     rng = random.Random(11)
-    for p, vals in ((3, (0, 0, 1, 1, 2, 2)), (5, (0, 0, 1, 4, 2, 3)),
-                    (11, (0, 1, 3, 4, 5, 9))):
+    # the last case is the weight-1 eigenspace of F_3^7
+    for p, vals, a in ((3, (0, 0, 1, 1, 2, 2), 0), (5, (0, 0, 1, 4, 2, 3), 0),
+                       (11, (0, 1, 3, 4, 5, 9), 0), (3, (0, 0, 1, 1, 2, 2), 1)):
         sig = Signature(p, vals)
-        monos = eigenspace_basis(sig, 0).monomials
+        monos = eigenspace_basis(sig, a).monomials
         yield CubicForm(4, {m: rng.randint(1, 1000) for m in monos}), sig
 
 
 def test_character_matches_koszul_series():
+    # The library reads the Koszul series; the oracle ranks the Jacobian
+    # slice weight block by weight block, at two moduli.
     for F, sig in koszul_cases():
         assert certify_smooth_over_Q(F) is not None
         for d in range(F.n + 3):
             spec = jacobian_ring_character(F, sig, d)
-            assert spec.exponents == koszul_character(sig, d), (sig, d)
+            for q in ORACLE_MODULI:
+                exps, rank = rank_character(F, sig, d, q)
+                assert rank == complete_intersection_dim(F.n + 2, d), (sig, d, q)
+                assert spec.exponents == exps, (sig, d, q)
 
 
 def test_degree_zero_is_constants():
@@ -99,27 +90,34 @@ def test_klein_fivefold_degree_two():
 def test_two_modulus_agreement():
     for n, d in ((3, 1), (3, 2), (5, 2), (7, 7)):
         p, sig = klein_signature(n)
-        s1 = jacobian_ring_character(klein(n), sig, d, 10007)
-        s2 = jacobian_ring_character(klein(n), sig, d, 30011)
-        assert s1.exponents == s2.exponents
+        spec = jacobian_ring_character(klein(n), sig, d)
+        for q in ORACLE_MODULI:
+            assert rank_character(klein(n), sig, d, q)[0] == spec.exponents, (n, d, q)
 
 
 def test_character_bad_reduction_when_partials_vanish():
-    # Every partial of the Fermat cubic is 3 x_i^2, zero mod 3: all rows are
-    # empty and the degree-2 rank check must fail.
-    with pytest.raises(BadReductionError):
-        jacobian_ring_character(fermat(3), Signature(7, (0,) * 5), 2, q=3)
+    # Every partial of the Fermat cubic is 3 x_i^2, zero mod 3: all of the
+    # oracle's rows are empty and its degree-2 rank total falls short.  The
+    # library takes no modulus and gives the character over Q.
+    sig = Signature(7, (0,) * 5)
+    exps, rank = rank_character(fermat(3), sig, 2, 3)
+    assert len(exps) == comb(6, 2)
+    assert rank == 0 < complete_intersection_dim(5, 2)
+    assert jacobian_ring_character(fermat(3), sig, 2).exponents == (0,) * comb(5, 2)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_character_bad_reduction_above_degree_two(d):
     # At a good modulus the piece has C(5, d) exponents.  At q = 3 every row
-    # is empty, so without a rank check at degree d the piece would hold
-    # every degree-d monomial (35 at d = 3).
+    # is empty, so the oracle's piece holds every degree-d monomial (35 at
+    # d = 3); only its rank total against complete_intersection_dim shows it.
     sig = Signature(7, (0,) * 5)
-    assert len(jacobian_ring_character(fermat(3), sig, d, q=10007)) == comb(5, d)
-    with pytest.raises(BadReductionError):
-        jacobian_ring_character(fermat(3), sig, d, q=3)
+    spec = jacobian_ring_character(fermat(3), sig, d)
+    assert len(spec) == comb(5, d)
+    assert rank_character(fermat(3), sig, d, 10007)[0] == spec.exponents
+    exps, rank = rank_character(fermat(3), sig, d, 3)
+    assert len(exps) == comb(4 + d, d)
+    assert rank == 0 < complete_intersection_dim(5, d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -138,12 +136,16 @@ def test_character_rejects_mixed_weight():
         jacobian_ring_character(F, Signature(5, (1, 2, 3, 4, 0)), 2)
 
 
-def test_character_rejects_nonzero_weight():
-    # klein(3) has weight 3 under the shifted signature
+def test_character_weight_a_matches_oracle():
+    # klein(3) has weight 3 under the shifted signature sigma + 1, and every
+    # degree-d monomial shifts by d, so the character shifts by d too.
     p, sig = klein_signature(3)
     shifted = Signature(p, [(v + 1) % p for v in sig.values])
-    with pytest.raises(ValueError):
-        jacobian_ring_character(klein(3), shifted, 2)
+    for d in range(6):
+        spec = jacobian_ring_character(klein(3), shifted, d)
+        base = jacobian_ring_character(klein(3), sig, d)
+        assert spec.exponents == tuple(sorted((e + d) % p for e in base.exponents))
+        assert spec.exponents == rank_character(klein(3), shifted, d, 10007)[0]
 
 
 def test_cardinality_invariant_degree_two():
@@ -236,19 +238,19 @@ def test_spectrum_json():
     assert doc["exponents"] == sorted(doc["exponents"])
 
 
-@pytest.mark.parametrize("n, count", [(2, 6), (3, 8), (4, 12), (5, 14), (6, 19)])
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 8), (4, 13), (5, 14), (6, 19)])
 def test_invariant_deformations_count_D(n, count):
     # (S/J(F))_3 is the tangent space to the deformations of a smooth cubic,
-    # and its invariant part is the tangent space to the family, so weight 0
-    # occurs D = dim E - dim N times in the character of each golden witness.
+    # and the weight-a part is the tangent space to the family of weight-a
+    # eigenvectors, so weight a occurs D = dim E - dim N times in the
+    # character of each golden witness.  Every row is checked, F_3^7 (weight
+    # 1, D = 6) among them.
     doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
     checked = 0
     for row in doc["families"]:
-        if row["weight"] != 0:
-            continue
         coeffs = row["witness"]["coeffs"]
         F = CubicForm(n, {tuple(m): c for m, c in zip(row["basis"], coeffs)})
         chi = jacobian_ring_character(F, Signature(row["p"], row["sigma"]), 3)
-        assert chi.exponents.count(0) == row["D"], (row["p"], row["sigma"])
+        assert chi.exponents.count(row["weight"]) == row["D"], (row["p"], row["sigma"])
         checked += 1
     assert checked == count

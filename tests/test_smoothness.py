@@ -13,7 +13,6 @@ from cubiclass.forms import (
     klein_signature,
     partials,
 )
-from cubiclass.hodge import _rank_mod_q
 from cubiclass.signatures import Signature
 from cubiclass import smoothness
 from cubiclass.smoothness import (
@@ -26,6 +25,7 @@ from cubiclass.smoothness import (
     is_smooth_mod_q,
     singular_point_from_lemma_base,
 )
+from rank_oracle import rank_mod_q
 
 
 def spoly(f, g):
@@ -189,7 +189,7 @@ def macaulay_rank(quadrics, nv, d, q):
                 k = cols[tuple(sorted(mono + (a, b)))]
                 row[k] = (row.get(k, 0) + c) % q
             rows.append({k: c for k, c in row.items() if c})
-    return _rank_mod_q(rows, q)
+    return rank_mod_q(rows, q)
 
 
 def nodal_cubic(rng, n):
