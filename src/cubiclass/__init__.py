@@ -31,6 +31,7 @@ from .forms import (
     fermat,
     form_from_json,
     form_to_json,
+    invertible_member,
     klein,
     klein_signature,
     lemma_base_feasible,

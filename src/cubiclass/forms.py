@@ -133,6 +133,46 @@ def lemma_base_feasible(sig: Signature, a: int):
     return True, None
 
 
+def invertible_member(sig: Signature, a: int):
+    """Monomials x_i^2 x_j(i), one per variable i, of an invertible
+    polynomial in the weight-a eigenspace, or None when there is none.
+
+    x_i^2 x_j lies in the eigenspace when 2*sigma_i + sigma_j = a mod p,
+    and j = i gives x_i^3.  When no j is the target of two different
+    i != j, the sum of these n + 2 monomials is a disjoint sum of Fermat
+    cubes, chains ending in a cube and loops (Kreuzer-Skarke, On the
+    classification of quasihomogeneous functions, CMP 150, 1992), which
+    has an isolated singularity for any nonzero coefficients.
+
+    Each i takes j = i when 3*sigma_i = a, else the least free j.  No
+    backtracking is needed: the targets of i have value f(sigma_i),
+    f(v) = a - 2v, and for odd p f is a bijection, while for p = 2 every
+    i with 3*sigma_i != a has the one value other than a.  So the i that
+    compete for targets of a value u all share one value, and the choice
+    fails exactly when they outnumber the indices of value u, for which no
+    choice exists.  In particular it fails whenever lemma_base_feasible
+    does.
+    """
+    p = sig.p
+    a %= p
+    vals = sig.values
+    taken = set()
+    out = []
+    for i, v in enumerate(vals):
+        if 3 * v % p == a:
+            out.append((i, i, i))
+            continue
+        want = (a - 2 * v) % p
+        j = next(
+            (j for j, w in enumerate(vals) if w == want and j not in taken), None
+        )
+        if j is None:
+            return None
+        taken.add(j)
+        out.append(tuple(sorted((i, i, j))))
+    return tuple(out)
+
+
 def coordinate_subspace_obstruction(sig: Signature, a: int):
     """Smallest variable subset T on whose coordinate subspace every member
     of the weight-a eigenspace is singular, or None when the general member

@@ -8,6 +8,7 @@ that group action are the classification unit everywhere downstream.
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .admissibility import ensure_prime, mult_order
 
@@ -265,6 +266,29 @@ def _lead_shaped_multisets(p: int, slots: int):
                 yield head + rest
 
 
+def _lead_shaped_count(p: int, slots: int) -> int:
+    """len(list(_lead_shaped_multisets(p, slots))) in closed form.
+
+    For each head 0^m 1^k the rests are the multisets of size r from the
+    q = p - 2 values in [2, p) with every multiplicity at most k; by
+    inclusion-exclusion over the values taken more than k times there are
+    sum_i (-1)^i C(q, i) C(r - i(k+1) + q - 1, q - 1) of them.
+    """
+    q = p - 2
+    total = 0
+    for m in range(1, slots):
+        for k in range(1, min(m, slots - m) + 1):
+            r = slots - m - k
+            if q == 0:
+                total += r == 0
+                continue
+            total += sum(
+                (-1) ** i * comb(q, i) * comb(r - i * (k + 1) + q - 1, q - 1)
+                for i in range(r // (k + 1) + 1)
+            )
+    return total
+
+
 def _chain_multisets(p: int, n: int):
     """Multisets whose nonzero values form a union of mult-by-(-2) orbits.
 
@@ -308,8 +332,9 @@ def enumerate_orbits(
 
     exhaustive walks the multisets 0^m 1^k + rest of
     _lead_shaped_multisets, which hold the canonical vector of every orbit
-    (complete; still requires p^(n+2) <= budget, the raw signature count,
-    so the strategy choice does not change).  chain_pruned,
+    (complete).  It requires its own work to fit the budget: the walk's
+    multisets times the (n+2)(n+1) lead-block candidates each may build,
+    counted in closed form before the walk starts.  chain_pruned,
     for p > 3, emits exactly the classes satisfying the closed-value-set
     necessary condition; it is a superset of the classes carrying a smooth
     invariant form and stays tractable for the large primes where
@@ -319,10 +344,11 @@ def enumerate_orbits(
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if strategy == "exhaustive":
-        if p ** (n + 2) > budget:
+        work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
+        if work > budget:
             hint = "use the chain_pruned strategy" if p > 3 else "raise --budget"
             raise BudgetExceededError(
-                f"{p}^{n + 2} raw signatures exceed budget {budget}; {hint}"
+                f"{work} lead-block candidates exceed budget {budget}; {hint}"
             )
         return _emit_classes(p, n, _lead_shaped_multisets(p, n + 2))
     if strategy == "chain_pruned":

@@ -17,6 +17,7 @@ from .forms import (
     CubicForm,
     coordinate_subspace_obstruction,
     eigenspace_basis,
+    invertible_member,
     partials,
 )
 from .signatures import Signature
@@ -416,8 +417,11 @@ def singular_point_from_lemma_base(F: CubicForm):
 def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
     """Search the weight-a eigenspace for a form certified smooth over Q.
 
-    Tries the all-ones coefficient vector first, then seeded uniform
-    coefficients in [1, 50].  Returns (coefficients, certificate) for the
+    Trial 0 is the invertible member of forms.invertible_member:
+    coefficient 1 on its n + 2 monomials and 0 on the rest of the basis,
+    or the all-ones vector when the eigenspace carries none.  Later trials
+    take seeded uniform coefficients in [1, 50].  Returns (coefficients,
+    certificate), the coefficients aligned with eigenspace_basis, for the
     first member certified smooth at DEFAULT_MODULI[0], or None after
     `trials` attempts.  Eigenspaces with a coordinate-subspace obstruction
     (the lemma filter included) have only singular members and are
@@ -432,9 +436,12 @@ def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
     if coordinate_subspace_obstruction(sig, a) is not None:
         return None
     basis = eigenspace_basis(sig, a)
+    support = invertible_member(sig, a)
     rng = random.Random(seed)
     for t in range(trials):
-        if t == 0:
+        if t == 0 and support is not None:
+            coeffs = tuple(int(m in support) for m in basis.monomials)
+        elif t == 0:
             coeffs = (1,) * len(basis.monomials)
         else:
             coeffs = tuple(rng.randint(1, 50) for _ in basis.monomials)

@@ -155,14 +155,14 @@ def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
     assert len(found) == pairs
 
 
-def test_witness_search_running_out_is_not_a_rejection():
+def test_witness_search_running_out_is_not_a_rejection(without_invertible_member):
     # With one trial the all-ones members of T_2^1 and T_2^2 are singular;
     # the search ran out, so the run is incomplete rather than rejecting.
     with pytest.raises(BudgetExceededError, match="1 trials"):
         classify_with_audit(3, 2, RunConfig(trials=1))
 
 
-def test_witness_trials_certify_at_one_modulus(monkeypatch):
+def test_witness_trials_certify_at_one_modulus(monkeypatch, without_invertible_member):
     # A trial is only a candidate, so each one is certified at the first
     # modulus alone; a failed trial is not retried at the others.
     import cubiclass.smoothness as smoothness

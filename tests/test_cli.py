@@ -248,7 +248,7 @@ def golden_rows(n, p, key):
     return [r for r in doc[key] if r["p"] == p]
 
 
-def test_classify_trials_exhaustion_partial():
+def test_classify_trials_exhaustion_partial(without_invertible_member):
     # One trial certifies no witness for T_2^1 or F_7^1.  Running out of
     # trials exits 3 with an incomplete note, accepts nothing it did not
     # certify and rejects exactly what a complete run rejects.
@@ -264,7 +264,7 @@ def test_classify_trials_exhaustion_partial():
         assert "--trials" in doc["notes"][0], argv
 
 
-def test_classify_trials_exhaustion_names_every_missing_family():
+def test_classify_trials_exhaustion_names_every_missing_family(without_invertible_member):
     # Every class is tried before the run is declared incomplete, so the
     # note names both threefold families that one trial leaves uncertified.
     code, text = run_cli("classify", "--n", "3", "--p", "2", "--trials", "1")
@@ -273,9 +273,17 @@ def test_classify_trials_exhaustion_names_every_missing_family():
     assert "(0, 0, 0, 0, 1)" in note and "(0, 0, 0, 1, 1)" in note
 
 
-def test_classify_trials_exhaustion_keeps_certified_families():
-    # One trial certifies F_3^1..F_3^6 but not F_3^7: the six rows are
-    # printed as a complete run prints them, beside the incomplete note.
+def test_classify_trials_exhaustion_keeps_certified_families(monkeypatch):
+    # One trial certifies F_3^1..F_3^6 but not F_3^7 once its eigenspace,
+    # the only one at weight 1, looks as if it had no invertible member: the
+    # six rows are printed as a complete run prints them, beside the
+    # incomplete note.
+    from cubiclass import smoothness
+
+    real = smoothness.invertible_member
+    monkeypatch.setattr(
+        smoothness, "invertible_member", lambda sig, a: None if a else real(sig, a)
+    )
     code, text = run_cli("classify", "--n", "4", "--p", "3", "--trials", "1")
     assert code == 3
     doc = json.loads(text)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from cubiclass.forms import (
     fermat,
     form_from_json,
     form_to_json,
+    invertible_member,
     klein,
     klein_signature,
     lemma_base_feasible,
@@ -19,8 +20,9 @@ from cubiclass.forms import (
     s3_dimension,
     weight_of,
 )
+from cubiclass.classify import classify
 from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
-from cubiclass.smoothness import is_smooth_mod_q
+from cubiclass.smoothness import DEFAULT_MODULI, is_smooth_mod_q
 
 
 def test_s3_dimension():
@@ -92,6 +94,113 @@ def _class_weights(n):
         for sig in enumerate_orbits(p, n):
             for a in range(p):
                 yield sig, a
+
+
+def _invertible_blocks(monomials, nv):
+    """Split x_i^2 x_j(i) terms into Fermat, chain and loop blocks, or fail.
+
+    Each variable must be squared in exactly one term and no index may be
+    the target j of two others; then following i -> j(i) from a variable
+    no other one targets ends in a cube (a Fermat cube or a chain), and the
+    variables left over lie on loops.
+    """
+    target = {}
+    for m in monomials:
+        i = next(v for v in m if m.count(v) >= 2)
+        assert i not in target, m
+        target[i] = (set(m) - {i} or {i}).pop()
+    assert sorted(target) == list(range(nv))
+    moved = [j for i, j in target.items() if j != i]
+    assert len(moved) == len(set(moved))
+    blocks, seen = [], set()
+    for head in sorted(set(target) - set(moved)):
+        block = [head]
+        while target[block[-1]] != block[-1]:
+            block.append(target[block[-1]])
+        blocks.append(("fermat" if len(block) == 1 else "chain", block))
+        seen |= set(block)
+    for start in range(nv):
+        if start in seen:
+            continue
+        block = [start]
+        while target[block[-1]] != start:
+            block.append(target[block[-1]])
+        blocks.append(("loop", block))
+        seen |= set(block)
+    return blocks
+
+
+def _admits_invertible_member(sig, a):
+    p, vals = sig.p, sig.values
+    choices = [
+        [j for j, w in enumerate(vals) if (2 * v + w) % p == a % p]
+        for v in vals
+    ]
+    for pick in product(*choices):
+        moved = [j for i, j in enumerate(pick) if j != i]
+        if len(moved) == len(set(moved)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, nv", [(2, 6), (3, 5), (5, 5), (7, 4)])
+def test_invertible_member_against_brute_force(p, nv):
+    # Every signature and weight: None exactly when no choice of targets
+    # exists, in particular whenever the lemma fails; otherwise n + 2
+    # eigenspace monomials, one per variable, with no index the target of
+    # two others.
+    for vals in product(range(p), repeat=nv):
+        sig = Signature(p, vals)
+        for a in range(p):
+            mons = invertible_member(sig, a)
+            if mons is None:
+                assert not _admits_invertible_member(sig, a), (vals, a)
+                continue
+            assert lemma_base_feasible(sig, a)[0], (vals, a)
+            assert set(mons) <= set(eigenspace_basis(sig, a).monomials)
+            _invertible_blocks(mons, nv)
+
+
+def test_invertible_member_examples():
+    # Chains ending in a cube: T_2^1 is x4^2 x0 + x0^3 beside three cubes,
+    # T_2^2 has two such chains.
+    assert invertible_member(Signature(2, (0, 0, 0, 0, 1)), 0) == (
+        (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (0, 4, 4),
+    )
+    mons = invertible_member(Signature(2, (0, 0, 0, 1, 1)), 0)
+    assert _invertible_blocks(mons, 5) == [
+        ("fermat", [2]), ("chain", [3, 0]), ("chain", [4, 1]),
+    ]
+    # Loops: the Klein threefold and fivefold are their own invertible
+    # member, and F_3^7 is two loops of length 3.
+    for n in (3, 5):
+        _, sig = klein_signature(n)
+        assert set(invertible_member(sig, 0)) == set(klein(n).terms)
+    mons = invertible_member(Signature(3, (0, 0, 1, 1, 2, 2)), 1)
+    assert _invertible_blocks(mons, 6) == [("loop", [0, 2, 4]), ("loop", [1, 3, 5])]
+    # The lemma holds, but the loop 1 -> 3 -> 4 -> 2 -> 1 of values has two
+    # indices of value 1 and only one of value 3.
+    sig = Signature(5, (0, 1, 1, 2, 3, 4))
+    assert lemma_base_feasible(sig, 0)[0]
+    assert invertible_member(sig, 0) is None
+
+
+def test_every_witness_is_an_invertible_member():
+    # Trial 0 certifies every family at n <= 8, so the random fallback is
+    # never reached: each witness is n + 2 ones on a disjoint sum of
+    # Fermat, chain and loop blocks, certified at the first modulus.
+    kinds = set()
+    for n in range(2, 9):
+        for p in admissible_primes(n):
+            for r in classify(n, p):
+                coeffs, cert = r.witness
+                support = [m for m, c in zip(r.basis, coeffs) if c]
+                assert sorted(coeffs) == [0] * (len(coeffs) - n - 2) + [1] * (n + 2)
+                kinds |= {k for k, _ in _invertible_blocks(support, n + 2)}
+                assert cert.modulus == DEFAULT_MODULI[0]
+                F = CubicForm(n, {m: 1 for m in support})
+                assert is_smooth_mod_q(F, DEFAULT_MODULI[0]) == cert, (p, r.label)
+    assert kinds == {"fermat", "chain", "loop"}
 
 
 def test_coordinate_subspace_obstruction_examples():

@@ -17,6 +17,7 @@ from cubiclass.signatures import (
     family_key,
     normalize_weight,
     scaling_canonical,
+    _lead_shaped_count,
     _lead_shaped_multisets,
 )
 
@@ -339,6 +340,27 @@ def test_exhaustive_walk_is_exactly_the_lead_shaped_multisets():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_orbits(11, 4, "exhaustive", budget=1000)
+
+
+@pytest.mark.parametrize(
+    "p, slots",
+    [(2, 4), (2, 9), (3, 4), (3, 12), (5, 7), (7, 6), (11, 6), (17, 5), (43, 4)],
+)
+def test_lead_shaped_count_is_the_walk_length(p, slots):
+    assert _lead_shaped_count(p, slots) == sum(
+        1 for _ in _lead_shaped_multisets(p, slots)
+    )
+
+
+def test_exhaustive_budget_bounds_the_walk_not_the_raw_signatures():
+    # 3^17 raw signatures exceed the default budget, but the walk has 32
+    # multisets; a walk larger than the budget is still refused.
+    assert _lead_shaped_count(3, 17) == 32
+    assert len(enumerate_orbits(3, 15, "exhaustive")) == burnside_orbit_count(3, 15)
+    work = 32 * 17 * 16
+    assert enumerate_orbits(3, 15, "exhaustive", budget=work)
+    with pytest.raises(BudgetExceededError, match=f"{work} lead-block"):
+        enumerate_orbits(3, 15, "exhaustive", budget=work - 1)
 
 
 def test_chain_pruned_klein_fivefold():

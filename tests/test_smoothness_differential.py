@@ -5,6 +5,7 @@ on it.  These cross-validate both the reduced-basis computation and the
 smoothness verdict on randomized inputs.
 """
 
+import json
 import random
 from itertools import combinations_with_replacement
 
@@ -12,6 +13,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from cubiclass.cli import GOLDEN_DIR
 from cubiclass.forms import CubicForm
 from cubiclass.smoothness import (
     PolyModQ,
@@ -121,3 +123,19 @@ def test_smoothness_verdicts_match_reference():
         assert singular_point_from_lemma_base(F) is None
         assert is_smooth_mod_q(F, q) is None
         assert not sympy_certifies(Fs, xs, q)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_golden_invertible_witnesses_match_reference(n):
+    # Each golden witness is an invertible member, n + 2 monomials with
+    # coefficient 1; the reference basis of its partials must hold a pure
+    # power of every variable at the certificate's modulus.
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    xs = sympy.symbols(f"x0:{n + 2}")
+    for row in doc["families"]:
+        w = row["witness"]
+        ones = [0] * (len(w["coeffs"]) - n - 2) + [1] * (n + 2)
+        assert sorted(w["coeffs"]) == ones, row["sigma"]
+        support = [m for m, c in zip(row["basis"], w["coeffs"]) if c]
+        Fs = sum(xs[i] * xs[j] * xs[k] for i, j, k in support)
+        assert sympy_certifies(Fs, xs, w["certificate"]["modulus"]), row["sigma"]
