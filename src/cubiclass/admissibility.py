@@ -7,15 +7,20 @@ prime factors of those n + 2 numbers.
 """
 
 from functools import lru_cache
-from math import isqrt
 
-# Witness set making Miller-Rabin deterministic for all inputs below 3.3e24,
-# far beyond the primes this package touches.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin bases decide every input below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the bases up to 37 alone pass
+# psi_12 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test for m below psi_13 (about
+    3.3e24); raises ValueError from psi_13 up."""
+    if m >= _MR_BOUND:
+        raise ValueError(f"{m} is beyond the deterministic primality range")
     if m < 2:
         return False
     for w in _MR_WITNESSES:
@@ -49,15 +54,19 @@ def ensure_prime(p: int) -> int:
 def _factor(m: int) -> list[int]:
     """Distinct prime factors of m >= 1, increasing, by trial division.
 
-    Inputs are p - 1 for a prime p and |(-2)^l - 1| for l <= n + 2, all at
-    most 2^(n+2) + 1, so at most about 2^((n+2)/2) divisors are tried.
+    Inputs are p - 1 for a prime p and |(-2)^l - 1| for l <= n + 2.  The
+    search stops once d^2 exceeds the cofactor left, which is then 1 or
+    prime, so it tries about max(second-largest prime factor, square root
+    of the largest) divisors.
     """
     out = []
-    for d in range(2, isqrt(m) + 1):
+    d = 2
+    while d * d <= m:
         if m % d == 0:
             out.append(d)
             while m % d == 0:
                 m //= d
+        d += 1
     if m > 1:
         out.append(m)
     return out

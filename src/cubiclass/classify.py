@@ -195,11 +195,18 @@ def _process_class(class_sig: Signature, config: RunConfig):
 
 
 def _resolve_strategy(p: int, n: int, config: RunConfig) -> str:
+    """exhaustive for p <= 3 whatever is asked, as chain_pruned needs p > 3;
+    else the strategy asked, auto meaning exhaustive when p^(n+2) fits the
+    budget.  auto does not read the walk size that enumerate_orbits checks:
+    at p = 43, n = 5 that walk, 36,768,270 lead-block candidates, fits the
+    default budget and would add lemma_base rows where the Klein family is
+    the whole classification.
+    """
+    if p <= 3:
+        return "exhaustive"
     if config.strategy != "auto":
         return config.strategy
-    if p <= 3 or p ** (n + 2) <= config.budget:
-        return "exhaustive"
-    return "chain_pruned"
+    return "exhaustive" if p ** (n + 2) <= config.budget else "chain_pruned"
 
 
 def classify_with_audit(n: int, p: int, config: RunConfig | None = None):

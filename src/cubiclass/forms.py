@@ -6,6 +6,7 @@ diagonal automorphism splits the monomial basis by the residue
 sigma_i + sigma_j + sigma_k mod p.
 """
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -150,8 +151,9 @@ def invertible_member(sig: Signature, a: int):
     i with 3*sigma_i != a has the one value other than a.  So the i that
     compete for targets of a value u all share one value, and the choice
     fails exactly when they outnumber the indices of value u, for which no
-    choice exists.  In particular it fails whenever lemma_base_feasible
-    does.
+    choice exists: mult(a - 2v) < mult(v) for some v, which is
+    coordinate_subspace_obstruction's test for V = {v} and holds whenever
+    lemma_base_feasible fails.
     """
     p = sig.p
     a %= p
@@ -174,17 +176,20 @@ def invertible_member(sig: Signature, a: int):
 
 
 def coordinate_subspace_obstruction(sig: Signature, a: int):
-    """Smallest variable subset T on whose coordinate subspace every member
-    of the weight-a eigenspace is singular, or None when the general member
-    is smooth.
+    """Variable subset T on whose coordinate subspace every member of the
+    weight-a eigenspace is singular, or None when the general member is
+    smooth.
 
     On L_T = {x_j = 0, j not in T} the partial in x_k of every member
     vanishes identically unless the eigenspace holds some monomial
     x_k * m with m quadratic in x_T; call such k counted.  When fewer than
     |T| indices are counted, fewer than |T| quadrics cut L_T = P^(|T|-1),
-    so they share a zero and every member is singular there.  Subsets are
-    searched by increasing size, so |T| = 1 exactly when
-    lemma_base_feasible fails.
+    so they share a zero and every member is singular there.  Any T with
+    value set V = {sigma_i : i in T} has the same quadric weights V + V and
+    counted k as T_V = {i : sigma_i in V} and is no larger, so T_V
+    obstructs whenever T does.  Value sets are searched by size, then in
+    lex order, and T_V is returned.  V = {v} obstructs when
+    mult(a - 2v) < mult(v), for some v exactly when invertible_member is None.
 
     None is a proof too (Iano-Fletcher, Working with weighted complete
     intersections, 2000, Thm 8.1, for a monomial linear system).  The tori
@@ -208,16 +213,12 @@ def coordinate_subspace_obstruction(sig: Signature, a: int):
     """
     p = sig.p
     a %= p
-    vals = sig.values
-    partner = [(a - v) % p for v in vals]  # weight of m in x_k * m
-    for size in range(1, len(vals) + 1):
-        for T in combinations(range(len(vals)), size):
-            quads = {
-                (vals[i] + vals[j]) % p
-                for i, j in combinations_with_replacement(T, 2)
-            }
-            if sum(w in quads for w in partner) < size:
-                return T
+    mult = Counter(sig.values)
+    for size in range(1, len(mult) + 1):
+        for V in combinations(sorted(mult), size):
+            quads = {(v + w) % p for v, w in combinations_with_replacement(V, 2)}
+            if sum(mult[(a - q) % p] for q in quads) < sum(mult[v] for v in V):
+                return tuple(i for i, v in enumerate(sig.values) if v in V)
     return None
 
 
@@ -290,19 +291,21 @@ def form_from_json(doc: dict) -> CubicForm:
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise ValueError("form document needs 'n' and 'terms'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("'n' must be an integer")
     terms = {}
     for entry in doc["terms"]:
         if set(entry) != {"c", "m"}:
             raise ValueError(f"bad term entry {entry!r}")
         m = tuple(entry["m"])
+        if not all(type(i) is int for i in m):
+            raise ValueError(f"monomial indices must be integers: {entry['m']!r}")
         if list(m) != sorted(m):
             raise ValueError(f"monomial indices must be sorted: {list(m)}")
         m = _check_monomial(m, n)
         if m in terms:
             raise ValueError(f"duplicate monomial {list(m)}")
-        if not isinstance(entry["c"], int):
+        if type(entry["c"]) is not int:
             raise ValueError("coefficients must be integers")
         terms[m] = entry["c"]
     return CubicForm(n, terms)

@@ -418,18 +418,16 @@ def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
     """Search the weight-a eigenspace for a form certified smooth over Q.
 
     Trial 0 is the invertible member of forms.invertible_member:
-    coefficient 1 on its n + 2 monomials and 0 on the rest of the basis,
-    or the all-ones vector when the eigenspace carries none.  Later trials
-    take seeded uniform coefficients in [1, 50].  Returns (coefficients,
-    certificate), the coefficients aligned with eigenspace_basis, for the
-    first member certified smooth at DEFAULT_MODULI[0], or None after
-    `trials` attempts.  Eigenspaces with a coordinate-subspace obstruction
-    (the lemma filter included) have only singular members and are
-    rejected without any trials.  On any other eigenspace the general
-    member is smooth, so a trial is only a candidate: a certificate at one
-    prime is already a proof over Q, a failed trial is not retried at
-    another modulus, and a None only means the search ran out, not that no
-    smooth member exists.
+    coefficient 1 on its n + 2 monomials and 0 on the rest of the basis.
+    Eigenspaces with a coordinate-subspace obstruction (the lemma filter
+    included) have only singular members and are rejected without any
+    trials; every other one carries an invertible member, smooth over Q.
+    Later trials take seeded uniform coefficients in [1, 50] and only
+    guard against bad reduction at DEFAULT_MODULI[0].  Returns
+    (coefficients, certificate), the coefficients aligned with
+    eigenspace_basis, for the first member certified smooth there, or None
+    after `trials` attempts: a failed trial is not retried at another
+    modulus, and a None only means the search ran out.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -439,10 +437,8 @@ def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
     support = invertible_member(sig, a)
     rng = random.Random(seed)
     for t in range(trials):
-        if t == 0 and support is not None:
+        if t == 0:
             coeffs = tuple(int(m in support) for m in basis.monomials)
-        elif t == 0:
-            coeffs = (1,) * len(basis.monomials)
         else:
             coeffs = tuple(rng.randint(1, 50) for _ in basis.monomials)
         F = CubicForm(sig.n, dict(zip(basis.monomials, coeffs)))

@@ -7,10 +7,16 @@ from cubiclass import smoothness
 
 @pytest.fixture
 def without_invertible_member(monkeypatch):
-    """Every eigenspace looks as if it carried no invertible member, so
-    witness trial 0 is the all-ones vector; this keeps the search that runs
-    out of trials reachable with --trials 1."""
-    monkeypatch.setattr(smoothness, "invertible_member", lambda sig, a: None)
+    """Witness trial 0, the invertible member, is refused: is_smooth_mod_q
+    returns None on a form whose coefficients are all 1, which a seeded
+    random trial does not draw.  This keeps the search that runs out of
+    trials reachable with --trials 1."""
+    real = smoothness.is_smooth_mod_q
+
+    def refuse_trial_zero(F, q):
+        return None if set(F.terms.values()) == {1} else real(F, q)
+
+    monkeypatch.setattr(smoothness, "is_smooth_mod_q", refuse_trial_zero)
 
 
 def pytest_runtest_logreport(report):

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from cubiclass.admissibility import (
+    _factor,
     admissible_primes,
     is_admissible,
     is_prime,
@@ -44,6 +45,32 @@ def test_is_prime_basics():
         assert is_prime(m)
     for m in (0, 1, 4, 9, 91, 561, 1105, 43691 * 3, 2731 * 2731):
         assert not is_prime(m)
+
+
+# The least strong pseudoprimes to the first 12 and 13 prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_range():
+    # Bases up to 37 pass psi_12; base 41 rejects it, and psi_13, which
+    # base 41 passes too, is where the deterministic range ends.
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    for m in (PSI_13, PSI_13 + 2, 2 * PSI_13):
+        with pytest.raises(ValueError, match="deterministic"):
+            is_prime(m)
+
+
+def test_factor_stops_at_the_cofactor():
+    # The largest prime factor of 2^60 - 1 is 1321: the search ends near
+    # 331, not at 2^30.
+    t0 = time.perf_counter()
+    assert _factor(2**60 - 1) == [3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]
+    assert time.perf_counter() - t0 < 1.0
+    assert _factor(1) == [] and _factor(2**31 - 1) == [2**31 - 1]
+    assert _factor(2 * 3 * 3 * 1321 * 1321) == [2, 3, 1321]
 
 
 @pytest.mark.parametrize("a,p,expected", [(-2, 11, 5), (1, 7, 1), (-2, 43, 7)])

@@ -156,7 +156,7 @@ def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
 
 
 def test_witness_search_running_out_is_not_a_rejection(without_invertible_member):
-    # With one trial the all-ones members of T_2^1 and T_2^2 are singular;
+    # With trial 0 refused, one trial certifies neither T_2^1 nor T_2^2;
     # the search ran out, so the run is incomplete rather than rejecting.
     with pytest.raises(BudgetExceededError, match="1 trials"):
         classify_with_audit(3, 2, RunConfig(trials=1))
@@ -164,7 +164,9 @@ def test_witness_search_running_out_is_not_a_rejection(without_invertible_member
 
 def test_witness_trials_certify_at_one_modulus(monkeypatch, without_invertible_member):
     # A trial is only a candidate, so each one is certified at the first
-    # modulus alone; a failed trial is not retried at the others.
+    # modulus alone; a failed trial is not retried at the others.  Each of
+    # the 13 fourfold families has its refused trial 0, then a random
+    # trial 1 that certifies.
     import cubiclass.smoothness as smoothness
 
     real = smoothness.is_smooth_mod_q
@@ -177,7 +179,7 @@ def test_witness_trials_certify_at_one_modulus(monkeypatch, without_invertible_m
     monkeypatch.setattr(smoothness, "is_smooth_mod_q", counting)
     for p in admissible_primes(4):
         classify_with_audit(4, p)
-    assert moduli == [DEFAULT_MODULI[0]] * 17
+    assert moduli == [DEFAULT_MODULI[0]] * 26
 
 
 def test_custom_trials_config():

@@ -67,6 +67,27 @@ def test_classify_inadmissible_huge_prime_at_once():
     assert doc["notes"] == ["1000000000000000003 not admissible in dimension 3"]
 
 
+def test_classify_rejects_pseudoprimes():
+    # psi_12 = 399165290221 * 798330580441 is composite; from psi_13 up no
+    # primality answer is given.
+    code, text = run_cli("classify", "--n", "3", "--p", "318665857834031151167461")
+    assert code == 2 and text == ""
+    code, text = run_cli("classify", "--n", "3", "--p", "3317044064679887385961981")
+    assert code == 2
+    assert text.startswith("error:")
+
+
+def test_classify_chain_pruned_resolves_small_primes():
+    # p = 2 and 3 run exhaustively whatever strategy is asked for.
+    code, text = run_cli("classify", "--n", "5", "--strategy", "chain_pruned")
+    assert code == 0
+    doc = json.loads(text)
+    assert {r["p"] for r in doc["families"]} == {2, 3, 5, 7, 11, 43}
+    (klein5,) = [r for r in doc["families"] if r["p"] == 43]
+    assert klein5["sigma"] == [1, 4, 11, 16, 21, 35, 41]
+    assert klein5["D"] == 0
+
+
 def test_classify_json_shape():
     code, text = run_cli("classify", "--n", "3", "--p", "11")
     assert code == 0
@@ -151,6 +172,17 @@ def test_smooth_rejects_duplicates(tmp_path):
     )
     code, _ = run_cli("smooth", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("term", [{"c": 1, "m": [3, 3, 3.7]}, {"c": True, "m": [3, 3, 3]}])
+def test_smooth_rejects_non_integer_entries(tmp_path, term):
+    # A float index is not truncated and a boolean is not read as 1.
+    terms = [{"c": 1, "m": [i, i, i]} for i in range(3)] + [term]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, "terms": terms}))
+    code, text = run_cli("smooth", str(path))
+    assert code == 2
+    assert text.startswith("error:")
 
 
 # Full stdout of spectrum --klein 3 and --klein 5, byte for byte.
@@ -274,15 +306,19 @@ def test_classify_trials_exhaustion_names_every_missing_family(without_invertibl
 
 
 def test_classify_trials_exhaustion_keeps_certified_families(monkeypatch):
-    # One trial certifies F_3^1..F_3^6 but not F_3^7 once its eigenspace,
-    # the only one at weight 1, looks as if it had no invertible member: the
-    # six rows are printed as a complete run prints them, beside the
-    # incomplete note.
+    # One trial certifies F_3^1..F_3^6 but not F_3^7 once its invertible
+    # member, the witness of trial 0, is refused: the six rows are printed
+    # as a complete run prints them, beside the incomplete note.
     from cubiclass import smoothness
+    from cubiclass.forms import invertible_member
+    from cubiclass.signatures import Signature
 
-    real = smoothness.invertible_member
+    refused = set(invertible_member(Signature(3, (0, 0, 1, 1, 2, 2)), 1))
+    real = smoothness.is_smooth_mod_q
     monkeypatch.setattr(
-        smoothness, "invertible_member", lambda sig, a: None if a else real(sig, a)
+        smoothness,
+        "is_smooth_mod_q",
+        lambda F, q: None if set(F.terms) == refused else real(F, q),
     )
     code, text = run_cli("classify", "--n", "4", "--p", "3", "--trials", "1")
     assert code == 3

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations_with_replacement, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -20,7 +21,7 @@ from cubiclass.forms import (
     s3_dimension,
     weight_of,
 )
-from cubiclass.classify import classify
+from cubiclass.classify import RunConfig, _resolve_strategy, classify
 from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
 from cubiclass.smoothness import DEFAULT_MODULI, is_smooth_mod_q
 
@@ -155,6 +156,7 @@ def test_invertible_member_against_brute_force(p, nv):
             mons = invertible_member(sig, a)
             if mons is None:
                 assert not _admits_invertible_member(sig, a), (vals, a)
+                assert coordinate_subspace_obstruction(sig, a) is not None, (vals, a)
                 continue
             assert lemma_base_feasible(sig, a)[0], (vals, a)
             assert set(mons) <= set(eigenspace_basis(sig, a).monomials)
@@ -210,23 +212,69 @@ def test_coordinate_subspace_obstruction_examples():
     assert coordinate_subspace_obstruction(Signature(5, (0, 1, 2, 3, 4)), 0) is None
 
 
+def _index_subset_obstruction(sig, a):
+    """The criterion searched over index subsets T, smallest first."""
+    p, vals = sig.p, sig.values
+    partner = [(a - v) % p for v in vals]  # weight of m in x_k * m
+    for size in range(1, len(vals) + 1):
+        for T in combinations(range(len(vals)), size):
+            quads = {
+                (vals[i] + vals[j]) % p
+                for i, j in combinations_with_replacement(T, 2)
+            }
+            if sum(w in quads for w in partner) < size:
+                return T
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_value_set_search_matches_index_subsets(n):
+    # Same verdict on every class the classifier walks and every weight;
+    # the T returned is every index whose value lies in its value set.
+    for p in admissible_primes(n):
+        for sig in enumerate_orbits(p, n, _resolve_strategy(p, n, RunConfig())):
+            for a in range(p):
+                T = coordinate_subspace_obstruction(sig, a)
+                assert (T is None) == (_index_subset_obstruction(sig, a) is None), (
+                    sig.values, a,
+                )
+                if T is not None:
+                    V = {sig.values[i] for i in T}
+                    assert T == tuple(i for i, v in enumerate(sig.values) if v in V)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_obstruction_of_size_one_is_the_lemma(n):
+    # The value set V found has one value exactly when there is no
+    # invertible member.  For V = {v} the counted k are the indices of
+    # value a - 2v, and a count of 0 is exactly the lemma failing there.
     for sig, a in _class_weights(n):
+        p, vals = sig.p, sig.values
         T = coordinate_subspace_obstruction(sig, a)
+        V = {vals[i] for i in T} if T is not None else set()
+        assert (len(V) == 1) == (invertible_member(sig, a) is None), (vals, a)
+        mult = Counter(vals)
+        zero = [i for i, v in enumerate(vals) if mult[(a - 2 * v) % p] == 0]
         feasible, i = lemma_base_feasible(sig, a)
-        assert (T is not None and len(T) == 1) == (not feasible)
+        assert feasible == (not zero)
         if not feasible:
-            assert T == (i,)
+            assert i == zero[0]
+        if len(V) == 1:
+            (v,) = V
+            counted = [k for k, w in enumerate(vals) if (a - w - 2 * v) % p == 0]
+            assert len(counted) < len(T)
+            assert (not counted) <= (not feasible)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_obstructed_members_are_singular(n):
     rng = random.Random(n)
     seen = 0
+    # Obstructions past the lemma: its own failures are proven singular at
+    # a coordinate point, and their eigenspaces may be empty.
     for sig, a in _class_weights(n):
         T = coordinate_subspace_obstruction(sig, a)
-        if T is None or len(T) < 2:
+        if T is None or not lemma_base_feasible(sig, a)[0]:
             continue
         seen += 1
         basis = eigenspace_basis(sig, a)

@@ -325,10 +325,10 @@ def test_lemma_witness_examples():
     assert singular_point_from_lemma_base(F).point == (1, 0, 0, 0)
 
 
-def test_find_smooth_member_all_ones(monkeypatch):
+def test_find_smooth_member_trial_zero_is_invertible():
     # Trial 0 is the invertible member x0^3 plus the loop
     # x1^2 x3 + x3^2 x4 + x4^2 x2 + x2^2 x1, with 0 on the other two basis
-    # monomials; without an invertible member it is the all-ones vector.
+    # monomials.
     sig = Signature(5, (0, 1, 2, 3, 4))
     basis = eigenspace_basis(sig, 0).monomials
     coeffs, cert = find_smooth_member(sig, 0)
@@ -336,10 +336,6 @@ def test_find_smooth_member_all_ones(monkeypatch):
         (0, 0, 0), (1, 1, 3), (3, 3, 4), (2, 4, 4), (1, 2, 2),
     }
     assert sorted(coeffs) == [0, 0, 1, 1, 1, 1, 1]
-    assert cert.modulus == DEFAULT_MODULI[0]
-    monkeypatch.setattr(smoothness, "invertible_member", lambda sig, a: None)
-    coeffs, cert = find_smooth_member(sig, 0)
-    assert coeffs == (1,) * 7
     assert cert.modulus == DEFAULT_MODULI[0]
 
 
