@@ -7,6 +7,8 @@ prime factors of those n + 2 numbers.
 """
 
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
 # The first 13 primes as Miller-Rabin bases decide every input below
 # psi_13, the least strong pseudoprime to all of them (Sorenson and
@@ -51,25 +53,53 @@ def ensure_prime(p: int) -> int:
     return p
 
 
-def _factor(m: int) -> list[int]:
-    """Distinct prime factors of m >= 1, increasing, by trial division.
+_TRIAL_BOUND = 1000
 
-    Inputs are p - 1 for a prime p and |(-2)^l - 1| for l <= n + 2.  The
-    search stops once d^2 exceeds the cofactor left, which is then 1 or
-    prime, so it tries about max(second-largest prime factor, square root
-    of the largest) divisors.
+
+def _pollard_rho(m: int) -> int:
+    """A proper factor of the odd composite m with no prime factor below
+    _TRIAL_BOUND: Floyd cycle finding on x -> x^2 + c mod m, the next c
+    when a cycle closes mod m itself."""
+    for c in count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            g = gcd(x - y, m)
+        if g != m:
+            return g
+
+
+def _factor(m: int) -> list[int]:
+    """Distinct prime factors of m >= 1, increasing.
+
+    Inputs are p - 1 for a prime p and |(-2)^l - 1| for l <= n + 2.
+    Divisors below _TRIAL_BOUND are tried first; a cofactor left is kept
+    when is_prime passes it and split by Pollard's rho otherwise, in an
+    expected number of steps about the square root of its least prime
+    factor.  So the cost is about the square root of the second-largest
+    prime factor, and is_prime raises ValueError on a cofactor from psi_13
+    up.
     """
-    out = []
+    out = set()
     d = 2
-    while d * d <= m:
+    while d < _TRIAL_BOUND and d * d <= m:
         if m % d == 0:
-            out.append(d)
+            out.add(d)
             while m % d == 0:
                 m //= d
         d += 1
-    if m > 1:
-        out.append(m)
-    return out
+    rest = [m] if m > 1 else []
+    while rest:
+        c = rest.pop()
+        if is_prime(c):
+            out.add(c)
+        else:
+            f = _pollard_rho(c)
+            rest += [f, c // f]
+    return sorted(out)
 
 
 def mult_order(a: int, p: int) -> int:

@@ -7,7 +7,7 @@ sigma_i + sigma_j + sigma_k mod p.
 """
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 from .admissibility import admissible_primes, mult_order
@@ -17,27 +17,33 @@ Monomial = tuple  # (i, j, k) with i <= j <= k
 
 
 def _check_monomial(m, n: int) -> Monomial:
-    m = tuple(int(i) for i in m)
-    if len(m) != 3 or not (0 <= m[0] <= m[1] <= m[2] <= n + 1):
+    m = tuple(m)
+    if (
+        len(m) != 3
+        or any(type(i) is not int for i in m)
+        or not (0 <= m[0] <= m[1] <= m[2] <= n + 1)
+    ):
         raise ValueError(f"invalid monomial {m} for n={n}")
     return m
 
 
 class CubicForm:
-    """Sparse integer cubic form in n+2 variables."""
+    """Sparse integer cubic form in n+2 variables; n, indices and
+    coefficients must be ints (bools and floats are refused, not cast)."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
-        if n < 2:
-            raise ValueError("dimension must be >= 2")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
         self.n = n
         self.terms = {}
         for m, c in dict(terms).items():
-            c = int(c)
-            if c == 0:
-                continue
-            self.terms[_check_monomial(m, n)] = c
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
+            m = _check_monomial(m, n)
+            if c:
+                self.terms[m] = c
 
     def __eq__(self, other):
         return (
@@ -152,7 +158,7 @@ def invertible_member(sig: Signature, a: int):
     compete for targets of a value u all share one value, and the choice
     fails exactly when they outnumber the indices of value u, for which no
     choice exists: mult(a - 2v) < mult(v) for some v, which is
-    coordinate_subspace_obstruction's test for V = {v} and holds whenever
+    coordinate_subspace_obstruction's test and holds whenever
     lemma_base_feasible fails.
     """
     p = sig.p
@@ -187,38 +193,22 @@ def coordinate_subspace_obstruction(sig: Signature, a: int):
     so they share a zero and every member is singular there.  Any T with
     value set V = {sigma_i : i in T} has the same quadric weights V + V and
     counted k as T_V = {i : sigma_i in V} and is no larger, so T_V
-    obstructs whenever T does.  Value sets are searched by size, then in
-    lex order, and T_V is returned.  V = {v} obstructs when
-    mult(a - 2v) < mult(v), for some v exactly when invertible_member is None.
-
-    None is a proof too (Iano-Fletcher, Working with weighted complete
-    intersections, 2000, Thm 8.1, for a monomial linear system).  The tori
-    U_T = {x_i != 0 exactly for i in T} partition P^(n+1); fix T and a
-    general member F.
-    - The eigenspace holds a monomial in x_T alone.  Then F|L_T is a
-      general member of a monomial system with no base point on U_T (a
-      monomial is nonzero there), so by Bertini in characteristic 0 it is
-      smooth on U_T, and by Euler's formula the partials in x_k, k in T,
-      have no common zero on U_T.
-    - It holds none.  Then no k in T is counted, and the counted k are the
-      k not in T whose quadric q_k(x_T) = dF/dx_k|L_T has a nonempty
-      monomial system.  Each term x_k * m has x_k to the first power, so
-      the q_k have disjoint, hence independent, coefficients.  With no base
-      point on U_T, each general q_k cuts every component of the set left
-      by the previous ones in dimension one less, or empties it.  Since
-      dim U_T = |T| - 1, at least |T| of them leave nothing.
-    So when no T obstructs, the smooth members form a nonempty Zariski-open
-    subset of the eigenspace defined over Q, and rational points are dense
-    in it.
+    obstructs whenever T does.  One value set suffices:
+    - Rejection.  For V = {v}, on L_{T_v} only the mult(a - 2v) partials of
+      weight a - 2v survive; when they are fewer than mult(v), these
+      quadrics on P^(mult(v)-1) share a zero.
+    - Acceptance.  When no v has mult(a - 2v) < mult(v), invertible_member
+      succeeds (its docstring proves it), and that member is smooth, so
+      the smooth members form a nonempty Zariski-open subset of the
+      eigenspace defined over Q and no larger T can obstruct.
+    Returns T_v for the least such v, or None.
     """
     p = sig.p
     a %= p
     mult = Counter(sig.values)
-    for size in range(1, len(mult) + 1):
-        for V in combinations(sorted(mult), size):
-            quads = {(v + w) % p for v, w in combinations_with_replacement(V, 2)}
-            if sum(mult[(a - q) % p] for q in quads) < sum(mult[v] for v in V):
-                return tuple(i for i, v in enumerate(sig.values) if v in V)
+    for v in sorted(mult):
+        if mult[(a - 2 * v) % p] < mult[v]:
+            return tuple(i for i, w in enumerate(sig.values) if w == v)
     return None
 
 
@@ -290,22 +280,12 @@ def form_from_json(doc: dict) -> CubicForm:
     """Parse and validate the interchange format; duplicate monomials rejected."""
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise ValueError("form document needs 'n' and 'terms'")
-    n = doc["n"]
-    if type(n) is not int:
-        raise ValueError("'n' must be an integer")
     terms = {}
     for entry in doc["terms"]:
         if set(entry) != {"c", "m"}:
             raise ValueError(f"bad term entry {entry!r}")
         m = tuple(entry["m"])
-        if not all(type(i) is int for i in m):
-            raise ValueError(f"monomial indices must be integers: {entry['m']!r}")
-        if list(m) != sorted(m):
-            raise ValueError(f"monomial indices must be sorted: {list(m)}")
-        m = _check_monomial(m, n)
         if m in terms:
             raise ValueError(f"duplicate monomial {list(m)}")
-        if type(entry["c"]) is not int:
-            raise ValueError("coefficients must be integers")
         terms[m] = entry["c"]
-    return CubicForm(n, terms)
+    return CubicForm(doc["n"], terms)

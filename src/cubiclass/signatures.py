@@ -26,13 +26,17 @@ class BudgetExceededError(RuntimeError):
 
 
 class Signature:
-    """Length n+2 vector of residues mod p; entries are reduced on construction."""
+    """Length n+2 vector of residues mod p; entries must be ints and are
+    reduced on construction."""
 
     __slots__ = ("p", "values")
 
     def __init__(self, p: int, values):
         ensure_prime(p)
-        vals = tuple(int(v) % p for v in values)
+        vals = tuple(values)
+        if any(type(v) is not int for v in vals):
+            raise ValueError(f"signature values must be integers: {vals!r}")
+        vals = tuple(v % p for v in vals)
         if len(vals) < 4:
             raise ValueError("a signature needs at least 4 entries (n >= 2)")
         self.p = p

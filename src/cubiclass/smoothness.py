@@ -15,7 +15,6 @@ from math import comb
 from .admissibility import ensure_prime
 from .forms import (
     CubicForm,
-    coordinate_subspace_obstruction,
     eigenspace_basis,
     invertible_member,
     partials,
@@ -43,12 +42,14 @@ class PolyModQ:
         self.terms = {}
         nvars = None
         for e, c in dict(terms).items():
-            e = tuple(int(x) for x in e)
+            e = tuple(e)
+            if type(c) is not int or any(type(x) is not int for x in e):
+                raise ValueError(f"non-integer term {e!r}: {c!r}")
             if nvars is None:
                 nvars = len(e)
             elif len(e) != nvars:
                 raise ValueError("inconsistent exponent vector lengths")
-            c = int(c) % q
+            c %= q
             if c:
                 self.terms[e] = c
 
@@ -419,22 +420,22 @@ def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
 
     Trial 0 is the invertible member of forms.invertible_member:
     coefficient 1 on its n + 2 monomials and 0 on the rest of the basis.
-    Eigenspaces with a coordinate-subspace obstruction (the lemma filter
-    included) have only singular members and are rejected without any
-    trials; every other one carries an invertible member, smooth over Q.
-    Later trials take seeded uniform coefficients in [1, 50] and only
-    guard against bad reduction at DEFAULT_MODULI[0].  Returns
-    (coefficients, certificate), the coefficients aligned with
+    An eigenspace without one is exactly one with a coordinate-subspace
+    obstruction (the lemma filter included): it has only singular members
+    and is rejected without any trials, while every invertible member is
+    smooth over Q.  Later trials take seeded uniform coefficients in
+    [1, 50] and only guard against bad reduction at DEFAULT_MODULI[0].
+    Returns (coefficients, certificate), the coefficients aligned with
     eigenspace_basis, for the first member certified smooth there, or None
     after `trials` attempts: a failed trial is not retried at another
     modulus, and a None only means the search ran out.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if coordinate_subspace_obstruction(sig, a) is not None:
+    support = invertible_member(sig, a)
+    if support is None:
         return None
     basis = eigenspace_basis(sig, a)
-    support = invertible_member(sig, a)
     rng = random.Random(seed)
     for t in range(trials):
         if t == 0:

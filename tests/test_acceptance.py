@@ -19,7 +19,6 @@ import pytest
 
 from cubiclass.admissibility import admissible_primes, max_admissible_prime
 from cubiclass.classify import (
-    RunConfig,
     classify,
     classify_all,
     family_dimension,
@@ -215,11 +214,12 @@ def _assert_klein_unique(n, p, records):
 
 
 def test_criterion_6_klein_uniqueness():
+    # Above 2^n only the Klein family occurs, with D = 0, at every n <= 12.
     t0 = time.perf_counter()
-    for n, p in ((5, 43), (9, 683), (11, 2731)):
-        _assert_klein_unique(n, p, classify(n, p, RunConfig(strategy="chain_pruned")))
-    _assert_klein_unique(3, 11, classify(3, 11))
-    _assert_klein_unique(2, 5, classify(2, 5))
+    pairs = [(n, p) for n in range(2, 13) for p in admissible_primes(n) if p > 2**n]
+    assert {n for n, _ in pairs} == {2, 3, 5, 9, 11}
+    for n, p in pairs:
+        _assert_klein_unique(n, p, classify(n, p))
     assert time.perf_counter() - t0 < 30.0
 
 

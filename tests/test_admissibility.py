@@ -64,13 +64,29 @@ def test_is_prime_range():
 
 
 def test_factor_stops_at_the_cofactor():
-    # The largest prime factor of 2^60 - 1 is 1321: the search ends near
-    # 331, not at 2^30.
+    # Trial division stops below 1000, and the prime cofactor 1321 of
+    # 2^60 - 1 is kept by is_prime, not searched up to 2^30.
     t0 = time.perf_counter()
     assert _factor(2**60 - 1) == [3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]
     assert time.perf_counter() - t0 < 1.0
     assert _factor(1) == [] and _factor(2**31 - 1) == [2**31 - 1]
     assert _factor(2 * 3 * 3 * 1321 * 1321) == [2, 3, 1321]
+
+
+def test_factor_splits_large_cofactors():
+    # Trial division alone would run to 7e8 on the composite cofactor
+    # 715827883 * 2147483647 of 2^62 - 1, which Pollard's rho splits, and to
+    # 8.8e8 on the prime cofactor of 2^61 + 1, which is_prime keeps.
+    t0 = time.perf_counter()
+    assert _factor(2**62 - 1) == [3, 715827883, 2147483647]
+    assert _factor(2**61 + 1) == [3, 768614336404564651]
+    assert _factor(1000003 * 1000033 * 1009) == [1009, 1000003, 1000033]
+    assert _factor(1000003**2 * 7) == [7, 1000003]
+    assert admissible_primes(80)[-1] == 201487636602438195784363
+    assert time.perf_counter() - t0 < 5.0
+    # from n = 89 a cofactor of (-2)^l - 1 reaches psi_13
+    with pytest.raises(ValueError, match="deterministic"):
+        admissible_primes(89)
 
 
 @pytest.mark.parametrize("a,p,expected", [(-2, 11, 5), (1, 7, 1), (-2, 43, 7)])

@@ -33,6 +33,19 @@ def test_admissible_range_max_only():
     assert lines[-1] == "20,174763"
 
 
+def test_admissible_large_n():
+    # 2^62 - 1 has the cofactor 715827883 * 2147483647; from n = 89 a
+    # cofactor is past the deterministic primality range.
+    t0 = time.perf_counter()
+    code, text = run_cli("admissible", "--n", "60", "--max-only", "--format", "csv")
+    assert code == 0
+    assert text == "60,768614336404564651\n"
+    assert time.perf_counter() - t0 < 5.0
+    code, text = run_cli("admissible", "--n", "89")
+    assert code == 2
+    assert text.startswith("error:")
+
+
 def test_admissible_json():
     code, text = run_cli("admissible", "--n", "4", "--format", "json")
     assert code == 0

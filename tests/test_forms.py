@@ -227,10 +227,12 @@ def _index_subset_obstruction(sig, a):
     return None
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_value_set_search_matches_index_subsets(n):
-    # Same verdict on every class the classifier walks and every weight;
-    # the T returned is every index whose value lies in its value set.
+    # Same verdict on every class the classifier walks and every weight,
+    # though only one-value sets are tried: the T returned is exactly the
+    # indices of one value, since an invertible member rules out every
+    # larger obstruction.
     for p in admissible_primes(n):
         for sig in enumerate_orbits(p, n, _resolve_strategy(p, n, RunConfig())):
             for a in range(p):
@@ -239,8 +241,8 @@ def test_value_set_search_matches_index_subsets(n):
                     sig.values, a,
                 )
                 if T is not None:
-                    V = {sig.values[i] for i in T}
-                    assert T == tuple(i for i, v in enumerate(sig.values) if v in V)
+                    (v,) = {sig.values[i] for i in T}
+                    assert T == tuple(i for i, w in enumerate(sig.values) if w == v)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -376,6 +378,22 @@ def test_monomial_validation():
         CubicForm(2, {(0, 2, 1): 1})
     with pytest.raises(ValueError):
         CubicForm(2, {(0, 1, 7): 1})
+
+
+@pytest.mark.parametrize(
+    "n, terms",
+    [
+        (2, {(0, 0, 0): 1.5}),
+        (2, {(1, 1, 2.9): 1}),
+        (2, {(0, 0, 0): True}),
+        (2, {(0, 0, True): 1}),
+        (2.0, {(0, 0, 0): 1}),
+    ],
+)
+def test_cubic_form_refuses_non_integers(n, terms):
+    # Floats are not truncated and booleans are not read as 0 or 1.
+    with pytest.raises(ValueError):
+        CubicForm(n, terms)
 
 
 def test_form_json_roundtrip():

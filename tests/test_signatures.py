@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
+from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import fermat_order_classes, fermat_realizes
+from cubiclass.forms import lemma_base_feasible
 from cubiclass.signatures import (
     AffinePermAction,
     BudgetExceededError,
@@ -60,6 +62,15 @@ def test_act_scaling():
     sig = Signature(5, (0, 1, 2, 3, 4))
     g = AffinePermAction(5, 2, 0, range(5))
     assert act(sig, g).values == (0, 2, 4, 1, 3)
+
+
+def test_signature_refuses_non_integers():
+    # A float is not truncated and a boolean is not read as 0 or 1.
+    with pytest.raises(ValueError):
+        Signature(5, [0, 1.7, 2, 3])
+    with pytest.raises(ValueError):
+        Signature(5, [0, True, 2, 3])
+    assert Signature(5, [0, 6, -1, 3]).values == (0, 1, 4, 3)
 
 
 def test_act_modulus_mismatch():
@@ -377,9 +388,24 @@ def test_chain_pruned_rejects_small_p():
 
 
 def test_chain_pruned_subset_of_exhaustive():
-    chain = {s.values for s in enumerate_orbits(5, 3, "chain_pruned")}
-    full = {s.values for s in enumerate_orbits(5, 3)}
-    assert chain <= full
+    # chain_pruned skips exactly the classes that fail the lemma at every
+    # weight, on every admissible p > 3 and n <= 7 whose exhaustive walk
+    # is at most 2e6 lead-block candidates.
+    cases = [
+        (p, n)
+        for n in range(2, 8)
+        for p in admissible_primes(n)
+        if p > 3 and _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1) <= 2 * 10**6
+    ]
+    assert len(cases) == 16
+    for p, n in cases:
+        chain = {s.values for s in enumerate_orbits(p, n, "chain_pruned")}
+        full = {
+            s.values
+            for s in enumerate_orbits(p, n)
+            if any(lemma_base_feasible(s, a)[0] for a in range(p))
+        }
+        assert chain == full, (p, n)
 
 
 @pytest.mark.parametrize(

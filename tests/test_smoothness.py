@@ -120,6 +120,13 @@ def test_groebner_buchberger_property():
                 assert reduces_to_zero(spoly(G[i], G[j]), G)
 
 
+def test_poly_refuses_non_integers():
+    # A float is not truncated and a boolean is not read as 0 or 1.
+    for terms in ({(1, 0): 1.0}, {(1.0, 0): 1}, {(1, 0): True}, {(True, 0): 1}):
+        with pytest.raises(ValueError):
+            PolyModQ(7, terms)
+
+
 def test_groebner_modulus_mismatch():
     with pytest.raises(ValueError):
         groebner_basis([PolyModQ(7, {(1,): 1}), PolyModQ(11, {(1,): 1})])
