@@ -22,7 +22,7 @@ from .forms import (
 )
 from .signatures import BudgetExceededError, Signature, _canonical_values
 from .signatures import enumerate_orbits, family_key
-from .smoothness import find_smooth_member
+from .smoothness import DEFAULT_MODULI, find_smooth_member
 
 
 @dataclass
@@ -30,13 +30,11 @@ class RunConfig:
     """Knobs shared by classify and the command line."""
 
     strategy: str = "auto"
-    trials: int = 20
-    seed: int = 0
     budget: int = 10**8
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
         if self.strategy not in ("auto", "exhaustive", "chain_pruned"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -135,7 +133,7 @@ def _label_table(n: int) -> dict:
     }
 
 
-def _process_class(class_sig: Signature, config: RunConfig):
+def _process_class(class_sig: Signature):
     """Accept or reject one signature class; the verdict depends on sigma alone.
 
     A weight is searched when it passes the lemma filter and carries no
@@ -145,9 +143,8 @@ def _process_class(class_sig: Signature, config: RunConfig):
     weights that describe the same family share a family_key, and each
     distinct key becomes one record, whose sigma and weight are the key and
     whose witness find_smooth_member builds.  Returns (records, rejected
-    record or None, names of the keys left without a witness after
-    config.trials attempts): a search that ran out is no evidence about the
-    family.
+    record or None, names of the keys whose witness no default modulus
+    certified): that is no evidence about the family.
     """
     p, n = class_sig.p, class_sig.n
     feasible = [a for a in range(p) if lemma_base_feasible(class_sig, a)[0]]
@@ -169,7 +166,7 @@ def _process_class(class_sig: Signature, config: RunConfig):
     records, missing = [], []
     for weight, values in sorted({family_key(class_sig, a) for a in searched}):
         rep = Signature(p, values)
-        result = find_smooth_member(rep, weight, config.trials, config.seed)
+        result = find_smooth_member(rep, weight)
         if result is None:
             missing.append(
                 f"class {class_sig.values}, family {values} at weight {weight}"
@@ -224,7 +221,7 @@ def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
     strategy = _resolve_strategy(p, n, config)
     accepted, rejected, missing = [], [], []
     for c in enumerate_orbits(p, n, strategy, config.budget):
-        recs, rej, miss = _process_class(c, config)
+        recs, rej, miss = _process_class(c)
         accepted.extend(recs)
         missing.extend(miss)
         if rej is not None:
@@ -233,8 +230,8 @@ def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
     rejected.sort(key=lambda r: r.sigma.values)
     if missing:
         raise BudgetExceededError(
-            f"no witness certified in {config.trials} trials for "
-            f"{'; '.join(missing)}; raise --trials",
+            f"no witness certified at moduli {list(DEFAULT_MODULI)} for "
+            f"{'; '.join(missing)}",
             accepted,
             rejected,
         )

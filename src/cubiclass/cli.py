@@ -43,41 +43,40 @@ def _parse_range(spec: str):
     return int(lo), int(hi)
 
 
+def _admissible_value(n: int, max_only: bool):
+    try:
+        return max_admissible_prime(n) if max_only else list(admissible_primes(n))
+    except ValueError as exc:
+        raise ValueError(f"n={n}: {exc}") from exc
+
+
 def cmd_admissible(args, out) -> int:
+    """md and csv rows are written as they are computed, so an n that
+    raises keeps the rows before it (and the md header only once a row
+    follows it); json is written whole or not at all."""
     if args.range:
         lo, hi = _parse_range(args.range)
         if lo < 2 or hi < lo:
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"--range {args.range} needs 2 <= lo <= hi")
         ns = range(lo, hi + 1)
+    elif args.n is None:
+        raise ValueError("admissible needs --n or --range")
     else:
-        if args.n is None or args.n < 2:
-            raise SystemExit(EXIT_USAGE)
         ns = [args.n]
-    rows = []
-    for n in ns:
-        if args.max_only:
-            rows.append({"n": n, "max_prime": max_admissible_prime(n)})
-        else:
-            rows.append({"n": n, "admissible_primes": list(admissible_primes(n))})
+    key = "max_prime" if args.max_only else "admissible_primes"
     if args.format == "json":
+        rows = [{"n": n, key: _admissible_value(n, args.max_only)} for n in ns]
         out.write(_dump(rows))
-    elif args.format == "csv":
-        for r in rows:
-            if args.max_only:
-                out.write(f"{r['n']},{r['max_prime']}\n")
-            else:
-                primes = " ".join(str(p) for p in r["admissible_primes"])
-                out.write(f"{r['n']},{primes}\n")
-    else:
-        if args.max_only:
-            out.write("| n | max prime |\n|---|---|\n")
-            for r in rows:
-                out.write(f"| {r['n']} | {r['max_prime']} |\n")
-        else:
-            out.write("| n | admissible primes |\n|---|---|\n")
-            for r in rows:
-                primes = ", ".join(str(p) for p in r["admissible_primes"])
-                out.write(f"| {r['n']} | {primes} |\n")
+        return EXIT_OK
+    md = args.format == "md"
+    for n in ns:
+        value = _admissible_value(n, args.max_only)
+        if md and n == ns[0]:
+            title = "max prime" if args.max_only else "admissible primes"
+            out.write(f"| n | {title} |\n|---|---|\n")
+        if not args.max_only:
+            value = (", " if md else " ").join(str(p) for p in value)
+        out.write(f"| {n} | {value} |\n" if md else f"{n},{value}\n")
     return EXIT_OK
 
 
@@ -89,7 +88,7 @@ def _sigma_str(values) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _classification_document(n: int, primes, config: RunConfig):
+def _classification_document(n: int, primes, config: RunConfig, seed: int = 0):
     families, rejected, notes = [], [], []
     partial = False
     for p in primes:
@@ -106,8 +105,7 @@ def _classification_document(n: int, primes, config: RunConfig):
         "families": families,
         "rejected": rejected,
         "notes": notes,
-        "seed": config.seed,
-        "trials": config.trials,
+        "seed": seed,
     }
     return doc, partial
 
@@ -137,21 +135,14 @@ def _render_classification(doc, fmt: str, out):
 
 
 def cmd_classify(args, out) -> int:
-    if args.n < 2:
-        raise SystemExit(EXIT_USAGE)
-    config = RunConfig(
-        strategy=args.strategy,
-        trials=args.trials,
-        seed=args.seed,
-        budget=args.budget,
-    )
+    config = RunConfig(strategy=args.strategy, budget=args.budget)
     if args.p is not None:
         if not is_prime(args.p):
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"--p {args.p} is not prime")
         primes = [args.p]
     else:
         primes = list(admissible_primes(args.n))
-    doc, partial = _classification_document(args.n, primes, config)
+    doc, partial = _classification_document(args.n, primes, config, args.seed)
     _render_classification(doc, args.format, out)
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -189,7 +180,7 @@ def cmd_smooth(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     if args.klein not in (3, 5):
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--klein takes 3 or 5, not {args.klein}")
     spec = klein_tangent_spectrum(args.klein)
     doc = spec.to_json()
     if args.klein == 5:
@@ -215,9 +206,8 @@ def _golden_documents():
             },
         }
     )
-    for n in range(2, 7):
-        config = RunConfig()
-        doc, _ = _classification_document(n, list(admissible_primes(n)), config)
+    for n in range(2, 9):
+        doc, _ = _classification_document(n, list(admissible_primes(n)), RunConfig())
         yield f"classify_n{n}.json", _dump(doc)
 
 
@@ -261,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "exhaustive", "chain_pruned"),
         default="auto",
     )
-    pc.add_argument("--trials", type=int, default=20)
+    # Only echoed as "seed": bench/workloads.py passes it and checks the echo.
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--budget", type=int, default=10**8)
     pc.add_argument("--format", choices=("json", "csv", "md"), default="json")

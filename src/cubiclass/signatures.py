@@ -14,10 +14,10 @@ from .admissibility import ensure_prime, mult_order
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a work bound runs out before the answer is complete: the
-    enumeration budget, or the witness trials of a smooth family.  A witness
-    search that ran out carries the rows it did decide, as accepted and
-    rejected; an enumeration budget carries none."""
+    """Raised when an answer is incomplete: the enumeration budget ran out,
+    or no default modulus certified the witness of a smooth family.  A
+    witness left uncertified carries the rows that were decided, as
+    accepted and rejected; an enumeration budget carries none."""
 
     def __init__(self, message, accepted=(), rejected=()):
         super().__init__(message)

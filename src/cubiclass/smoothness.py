@@ -8,7 +8,6 @@ sound for smoothness over the rationals.
 """
 
 import heapq
-import random
 from dataclasses import dataclass
 from math import comb
 
@@ -415,35 +414,35 @@ def singular_point_from_lemma_base(F: CubicForm):
     return None
 
 
-def find_smooth_member(sig: Signature, a: int, trials: int = 20, seed: int = 0):
-    """Search the weight-a eigenspace for a form certified smooth over Q.
+def find_smooth_member(sig: Signature, a: int):
+    """The invertible member of the weight-a eigenspace, certified smooth
+    over Q, or None.
 
-    Trial 0 is the invertible member of forms.invertible_member:
-    coefficient 1 on its n + 2 monomials and 0 on the rest of the basis.
-    An eigenspace without one is exactly one with a coordinate-subspace
-    obstruction (the lemma filter included): it has only singular members
-    and is rejected without any trials, while every invertible member is
-    smooth over Q.  Later trials take seeded uniform coefficients in
-    [1, 50] and only guard against bad reduction at DEFAULT_MODULI[0].
-    Returns (coefficients, certificate), the coefficients aligned with
-    eigenspace_basis, for the first member certified smooth there, or None
-    after `trials` attempts: a failed trial is not retried at another
-    modulus, and a None only means the search ran out.
+    The member has coefficient 1 on the n + 2 monomials of
+    forms.invertible_member and 0 on the rest of the basis.  An eigenspace
+    without one is exactly one with a coordinate-subspace obstruction (the
+    lemma filter included): it has only singular members.  Returns
+    (coefficients, certificate), the coefficients aligned with
+    eigenspace_basis, or None when there is no invertible member or
+    certify_smooth_over_Q finds no modulus that certifies it.
+
+    The member is a disjoint sum of Fermat cubes, chains
+    x_0^2 x_1 + ... + x_{m-1}^2 x_m + x_m^3 and loops
+    x_0^2 x_1 + ... + x_{k-1}^2 x_0, so mod a prime q > 3 it is singular
+    exactly when one block is.  A cube or chain never is: once
+    x_0 = ... = x_{i-1} = 0, the partial in x_i reads 2 x_i x_{i+1} = 0,
+    and x_{i+1} = 0 would leave x_i^2 = 0 in the next partial, so x_i = 0;
+    the last partial then reads 3 x_m^2 = 0.  At a singular point of a loop
+    no coordinate is 0, as x_i = 0 forces x_{i-1} = 0 around the loop, and
+    the product of the k equations x_{i-1}^2 = -2 x_i x_{i+1} gives
+    (-2)^k = 1 mod q.  The order of -2 mod DEFAULT_MODULI[0] = 10007 is
+    10006, so that modulus certifies every invertible member in fewer than
+    10006 variables; the later moduli guard only beyond that.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     support = invertible_member(sig, a)
     if support is None:
         return None
-    basis = eigenspace_basis(sig, a)
-    rng = random.Random(seed)
-    for t in range(trials):
-        if t == 0:
-            coeffs = tuple(int(m in support) for m in basis.monomials)
-        else:
-            coeffs = tuple(rng.randint(1, 50) for _ in basis.monomials)
-        F = CubicForm(sig.n, dict(zip(basis.monomials, coeffs)))
-        cert = is_smooth_mod_q(F, DEFAULT_MODULI[0])
-        if cert is not None:
-            return coeffs, cert
-    return None
+    basis = eigenspace_basis(sig, a).monomials
+    coeffs = tuple(int(m in support) for m in basis)
+    cert = certify_smooth_over_Q(CubicForm(sig.n, dict(zip(basis, coeffs))))
+    return None if cert is None else (coeffs, cert)

@@ -3,20 +3,25 @@ import re
 import pytest
 
 from cubiclass import smoothness
+from cubiclass.forms import invertible_member
 
 
 @pytest.fixture
-def without_invertible_member(monkeypatch):
-    """Witness trial 0, the invertible member, is refused: is_smooth_mod_q
-    returns None on a form whose coefficients are all 1, which a seeded
-    random trial does not draw.  This keeps the search that runs out of
-    trials reachable with --trials 1."""
-    real = smoothness.is_smooth_mod_q
+def refuse_witnesses(monkeypatch):
+    """refuse_witnesses((sig, a), ...) makes certify_smooth_over_Q find no
+    modulus for the invertible member of each listed eigenspace, so the
+    classification that leaves a family without a witness is reachable."""
+    real = smoothness.certify_smooth_over_Q
 
-    def refuse_trial_zero(F, q):
-        return None if set(F.terms.values()) == {1} else real(F, q)
+    def refuse(*families):
+        refused = {frozenset(invertible_member(sig, a)) for sig, a in families}
 
-    monkeypatch.setattr(smoothness, "is_smooth_mod_q", refuse_trial_zero)
+        def certify(F, q_list=smoothness.DEFAULT_MODULI):
+            return None if frozenset(F.terms) in refused else real(F, q_list)
+
+        monkeypatch.setattr(smoothness, "certify_smooth_over_Q", certify)
+
+    return refuse
 
 
 def pytest_runtest_logreport(report):

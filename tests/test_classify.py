@@ -155,18 +155,20 @@ def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
     assert len(found) == pairs
 
 
-def test_witness_search_running_out_is_not_a_rejection(without_invertible_member):
-    # With trial 0 refused, one trial certifies neither T_2^1 nor T_2^2;
-    # the search ran out, so the run is incomplete rather than rejecting.
-    with pytest.raises(BudgetExceededError, match="1 trials"):
-        classify_with_audit(3, 2, RunConfig(trials=1))
+def test_witness_search_running_out_is_not_a_rejection(refuse_witnesses):
+    # No modulus certifies T_2^1 or T_2^2; the run is incomplete rather
+    # than rejecting them.
+    refuse_witnesses(
+        (Signature(2, (0, 0, 0, 0, 1)), 0), (Signature(2, (0, 0, 0, 1, 1)), 0)
+    )
+    with pytest.raises(BudgetExceededError, match="no witness certified at moduli"):
+        classify_with_audit(3, 2)
 
 
-def test_witness_trials_certify_at_one_modulus(monkeypatch, without_invertible_member):
-    # A trial is only a candidate, so each one is certified at the first
-    # modulus alone; a failed trial is not retried at the others.  Each of
-    # the 13 fourfold families has its refused trial 0, then a random
-    # trial 1 that certifies.
+def test_each_witness_costs_one_certification(monkeypatch):
+    # The invertible member is smooth mod every q > 3 with (-2)^k != 1 for
+    # each loop length k, so DEFAULT_MODULI[0] certifies it at once: one
+    # is_smooth_mod_q call per family, for all 60 golden families.
     import cubiclass.smoothness as smoothness
 
     real = smoothness.is_smooth_mod_q
@@ -177,15 +179,12 @@ def test_witness_trials_certify_at_one_modulus(monkeypatch, without_invertible_m
         return real(F, q)
 
     monkeypatch.setattr(smoothness, "is_smooth_mod_q", counting)
-    for p in admissible_primes(4):
-        classify_with_audit(4, p)
-    assert moduli == [DEFAULT_MODULI[0]] * 26
-
-
-def test_custom_trials_config():
-    config = RunConfig(trials=2, seed=1)
-    records = classify(3, 11, config)
-    assert len(records) == 1
+    families = 0
+    for n in range(2, 7):
+        for p in admissible_primes(n):
+            families += len(classify_with_audit(n, p)[0])
+    assert families == 60
+    assert moduli == [DEFAULT_MODULI[0]] * families
 
 
 def test_classify_all_keys():

@@ -6,6 +6,7 @@ import pytest
 
 from cubiclass.cli import GOLDEN_DIR, main
 from cubiclass.forms import fermat, form_to_json, klein
+from cubiclass.signatures import Signature
 
 
 def run_cli(*argv):
@@ -46,6 +47,15 @@ def test_admissible_large_n():
     assert text.startswith("error:")
 
 
+def test_admissible_range_keeps_rows_before_an_error():
+    # n = 89 is past the primality range; the rows for 87 and 88 stay.
+    code, text = run_cli("admissible", "--range", "87..89", "--max-only", "--format", "csv")
+    assert code == 2
+    rows = text.splitlines()
+    assert [r.split(",")[0] for r in rows[:2]] == ["87", "88"]
+    assert len(rows) == 3 and rows[2].startswith("error: n=89: ")
+
+
 def test_admissible_json():
     code, text = run_cli("admissible", "--n", "4", "--format", "json")
     assert code == 0
@@ -84,7 +94,7 @@ def test_classify_rejects_pseudoprimes():
     # psi_12 = 399165290221 * 798330580441 is composite; from psi_13 up no
     # primality answer is given.
     code, text = run_cli("classify", "--n", "3", "--p", "318665857834031151167461")
-    assert code == 2 and text == ""
+    assert code == 2 and text == "error: --p 318665857834031151167461 is not prime\n"
     code, text = run_cli("classify", "--n", "3", "--p", "3317044064679887385961981")
     assert code == 2
     assert text.startswith("error:")
@@ -293,47 +303,46 @@ def golden_rows(n, p, key):
     return [r for r in doc[key] if r["p"] == p]
 
 
-def test_classify_trials_exhaustion_partial(without_invertible_member):
-    # One trial certifies no witness for T_2^1 or F_7^1.  Running out of
-    # trials exits 3 with an incomplete note, accepts nothing it did not
-    # certify and rejects exactly what a complete run rejects.
+def golden_families(n, p):
+    rows = golden_rows(n, p, "families")
+    return [(Signature(p, r["sigma"]), r["weight"]) for r in rows]
+
+
+MODULI_NOTE = "no witness certified at moduli [10007, 30011, 65537, 104729] for "
+
+
+def test_classify_trials_exhaustion_partial(refuse_witnesses):
+    # The trials left are the default moduli, and none certifies T_2^1,
+    # T_2^2 or F_7^1.  A family left without a witness exits 3 with an
+    # incomplete note, accepts nothing it did not certify and rejects
+    # exactly what a complete run rejects.
+    refuse_witnesses(*golden_families(3, 2), *golden_families(4, 7))
     for n, p in ((3, 2), (4, 7)):
         argv = ("--n", str(n), "--p", str(p))
-        code, text = run_cli("classify", *argv, "--trials", "1")
+        code, text = run_cli("classify", *argv)
         assert code == 3, argv
         doc = json.loads(text)
         assert doc["families"] == [], argv
         assert doc["rejected"] == golden_rows(n, p, "rejected"), argv
         assert len(doc["notes"]) == 1, argv
-        assert "incomplete" in doc["notes"][0], argv
-        assert "--trials" in doc["notes"][0], argv
+        assert doc["notes"][0].startswith(f"p={p}: incomplete: {MODULI_NOTE}"), argv
 
 
-def test_classify_trials_exhaustion_names_every_missing_family(without_invertible_member):
+def test_classify_trials_exhaustion_names_every_missing_family(refuse_witnesses):
     # Every class is tried before the run is declared incomplete, so the
-    # note names both threefold families that one trial leaves uncertified.
-    code, text = run_cli("classify", "--n", "3", "--p", "2", "--trials", "1")
+    # note names both threefold families that no modulus certifies.
+    refuse_witnesses(*golden_families(3, 2))
+    code, text = run_cli("classify", "--n", "3", "--p", "2")
     assert code == 3
     (note,) = json.loads(text)["notes"]
     assert "(0, 0, 0, 0, 1)" in note and "(0, 0, 0, 1, 1)" in note
 
 
-def test_classify_trials_exhaustion_keeps_certified_families(monkeypatch):
-    # One trial certifies F_3^1..F_3^6 but not F_3^7 once its invertible
-    # member, the witness of trial 0, is refused: the six rows are printed
-    # as a complete run prints them, beside the incomplete note.
-    from cubiclass import smoothness
-    from cubiclass.forms import invertible_member
-    from cubiclass.signatures import Signature
-
-    refused = set(invertible_member(Signature(3, (0, 0, 1, 1, 2, 2)), 1))
-    real = smoothness.is_smooth_mod_q
-    monkeypatch.setattr(
-        smoothness,
-        "is_smooth_mod_q",
-        lambda F, q: None if set(F.terms) == refused else real(F, q),
-    )
-    code, text = run_cli("classify", "--n", "4", "--p", "3", "--trials", "1")
+def test_classify_trials_exhaustion_keeps_certified_families(refuse_witnesses):
+    # No modulus certifies F_3^7, the weight-1 family: F_3^1..F_3^6 are
+    # printed as a complete run prints them, beside the incomplete note.
+    refuse_witnesses((Signature(3, (0, 0, 1, 1, 2, 2)), 1))
+    code, text = run_cli("classify", "--n", "4", "--p", "3")
     assert code == 3
     doc = json.loads(text)
     expected = [r for r in golden_rows(4, 3, "families") if r["label"] != "F_3^7"]
@@ -341,15 +350,48 @@ def test_classify_trials_exhaustion_keeps_certified_families(monkeypatch):
     assert doc["families"] == expected
     assert doc["rejected"] == []
     assert doc["notes"] == [
-        "p=3: incomplete: no witness certified in 1 trials for class "
-        "(0, 0, 1, 1, 2, 2), family (0, 0, 1, 1, 2, 2) at weight 1; raise --trials"
+        f"p=3: incomplete: {MODULI_NOTE}class (0, 0, 1, 1, 2, 2), "
+        "family (0, 0, 1, 1, 2, 2) at weight 1"
     ]
 
 
 def test_classify_has_no_moduli_option():
-    # Witness trials certify at one fixed modulus; only smooth takes --moduli.
+    # Witnesses are certified at the default moduli; only smooth takes --moduli.
     code, _ = run_cli("classify", "--n", "3", "--moduli", "10007")
     assert code == 2
+
+
+def test_classify_has_no_trials_option():
+    # Every witness is the invertible member, so there is no search to bound.
+    code, _ = run_cli("classify", "--n", "3", "--trials", "1")
+    assert code == 2
+
+
+def test_classify_seed_is_only_echoed():
+    code0, text0 = run_cli("classify", "--n", "3")
+    code7, text7 = run_cli("classify", "--n", "3", "--seed", "7")
+    assert code0 == code7 == 0
+    doc0, doc7 = json.loads(text0), json.loads(text7)
+    assert doc7.pop("seed") == 7 and doc0.pop("seed") == 0
+    assert doc7 == doc0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--n", "3", "--p", "4"),
+        ("classify", "--n", "1"),
+        ("classify", "--n", "3", "--p", "2", "--budget", "-1"),
+        ("admissible", "--n", "1"),
+        ("admissible", "--range", "5..3"),
+        ("admissible",),
+        ("spectrum", "--klein", "4"),
+    ],
+)
+def test_usage_errors_say_why(argv):
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text.startswith("error: ") and len(text) > len("error: \n")
 
 
 def test_classify_md_table_n3():
@@ -371,6 +413,8 @@ def test_classify_md_table_n3():
         "classify_n4.json",
         "classify_n5.json",
         "classify_n6.json",
+        "classify_n7.json",
+        "classify_n8.json",
     ],
 )
 def test_golden_files_exist(name):
@@ -388,7 +432,7 @@ def test_golden_admissible_tables_current():
         assert max_admissible_prime(int(n_str)) == p
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_golden_classification_matches_fresh_run(n):
     # At n = 5 this pins every witness certificate, basis_size included, so
     # a change to the Groebner engine that alters the basis it builds shows

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from cubiclass.admissibility import is_prime, mult_order
 from cubiclass.forms import (
     CubicForm,
     eigenspace_basis,
@@ -333,7 +334,7 @@ def test_lemma_witness_examples():
 
 
 def test_find_smooth_member_trial_zero_is_invertible():
-    # Trial 0 is the invertible member x0^3 plus the loop
+    # The witness is the invertible member x0^3 plus the loop
     # x1^2 x3 + x3^2 x4 + x4^2 x2 + x2^2 x1, with 0 on the other two basis
     # monomials.
     sig = Signature(5, (0, 1, 2, 3, 4))
@@ -378,10 +379,28 @@ def test_find_smooth_member_klein_chain():
 
 def test_find_smooth_member_deterministic():
     sig = Signature(3, (0, 0, 1, 1, 2))
-    r1 = find_smooth_member(sig, 0, trials=5, seed=42)
-    r2 = find_smooth_member(sig, 0, trials=5, seed=42)
+    r1 = find_smooth_member(sig, 0)
+    r2 = find_smooth_member(sig, 0)
     assert r1 == r2
     assert json.dumps(r1[1].to_json()) == json.dumps(r2[1].to_json())
+
+
+def test_klein_bad_reduction_is_the_order_of_minus_two():
+    # A loop of length k is singular mod q > 3 exactly when (-2)^k = 1 mod q,
+    # while a chain ending in a cube is smooth mod every such q; the order
+    # of -2 mod 10007 makes it certify every invertible member below 10006
+    # variables.
+    for n in range(2, 6):
+        chain = {(i, i, i + 1): 1 for i in range(n + 1)}
+        chain[(n + 1,) * 3] = 1
+        chain = CubicForm(n, chain)
+        for q in range(5, 400):
+            if not is_prime(q):
+                continue
+            loop_singular = is_smooth_mod_q(klein(n), q) is None
+            assert loop_singular == (pow(-2, n + 2, q) == 1), (n, q)
+            assert is_smooth_mod_q(chain, q) is not None, (n, q)
+    assert mult_order(-2, DEFAULT_MODULI[0]) == 10006
 
 
 def test_certificates_identical_across_runs():
