@@ -9,16 +9,17 @@ and a witness certified smooth over the rationals.  A class with no such
 weight is reported with the reason that proves every member singular.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 from .admissibility import admissible_primes, is_admissible, is_prime
 from .forms import (
     coordinate_subspace_obstruction,
     eigenspace_basis,
-    lemma_base_feasible,
+    lemma_feasible_weights,
 )
 from .signatures import BudgetExceededError, Signature, _canonical_values
 from .signatures import enumerate_orbits, family_key
@@ -136,9 +137,9 @@ def _label_table(n: int) -> dict:
 def _process_class(class_sig: Signature):
     """Accept or reject one signature class; the verdict depends on sigma alone.
 
-    A weight is searched when it passes the lemma filter and carries no
-    coordinate-subspace obstruction, which by that criterion is exactly when
-    its general member is smooth.  A class with no searched weight is
+    A weight is searched when the lemma filter accepts it (it is one of
+    lemma_feasible_weights) and carries no coordinate-subspace obstruction,
+    which by that criterion is exactly when its general member is smooth.  A class with no searched weight is
     rejected as lemma_base or coordinate_subspace, both proofs.  Searched
     weights that describe the same family share a family_key, and each
     distinct key becomes one record, whose sigma and weight are the key and
@@ -147,7 +148,7 @@ def _process_class(class_sig: Signature):
     certified): that is no evidence about the family.
     """
     p, n = class_sig.p, class_sig.n
-    feasible = [a for a in range(p) if lemma_base_feasible(class_sig, a)[0]]
+    feasible = lemma_feasible_weights(class_sig)
     searched = [
         a for a in feasible if coordinate_subspace_obstruction(class_sig, a) is None
     ]
@@ -311,25 +312,54 @@ def element_order_and_signature(el: FermatGroupElement):
     return p, tuple(d * p // D % p for d in diffs)
 
 
+def _partitions(m: int, largest: int | None = None):
+    """The partitions of m as non-increasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def fermat_order_classes(n: int) -> dict:
     """For each prime p, the signature classes realized inside the Fermat
-    symmetry group (permutations extended by diagonal cube roots).
+    symmetry group mu_3^(n+2)/mu_3 x| S_(n+2) (Matsumura-Monsky, J. Math.
+    Kyoto Univ. 3, 1964): permutations after diagonal cube roots.
 
-    Conjugating by a coordinate permutation keeps the eigenvalues, so one
-    permutation per cycle type suffices; the global cube-root scalars let
-    the first exponent be 0.
+    The group is walked by its invariants, not its elements: one element
+    per cycle type lambda of n + 2 and, for each cycle length, multiset of
+    per-cycle exponent sums mod 3.
+
+    * g^k has permutation part pi^k, and a monomial matrix is scalar only
+      when its permutation is the identity, so the projective order of g
+      is a multiple of lcm(lambda): only lcm 1 or prime can give a prime.
+    * element_order_and_signature reads the cycles only through their
+      lengths and each cycle's e_sum, so the representative built here
+      (consecutive cycles, the sum on each cycle's first index, 0
+      elsewhere) answers for every element with those cycle sums.
+    * Reordering the cycles moves nums[0]: that translates the signature
+      and keeps the gcd of the differences, hence the order, and
+      _canonical_values absorbs the translation.
+    * A global cube root changes no projective element, so these exps
+      reach every element of the group.
     """
-    m = n + 2
     raw = {}
-    cycle_types = set()
-    for perm in permutations(range(m)):
-        cycle_type = tuple(sorted(len(c) for c in _cycles(perm)))
-        if cycle_type in cycle_types:
+    for cycle_type in _partitions(n + 2):
+        L = lcm(*cycle_type)
+        if L != 1 and not is_prime(L):
             continue
-        cycle_types.add(cycle_type)
-        for tail in product((0, 1, 2), repeat=m - 1):
-            el = FermatGroupElement(perm, (0,) + tail)
+        lengths = sorted(Counter(cycle_type).items())
+        choices = (combinations_with_replacement(range(3), c) for _, c in lengths)
+        for sums in product(*choices):
+            perm, exps = [], []
+            for (length, _), block in zip(lengths, sums):
+                for s in block:
+                    start = len(perm)
+                    perm += [*range(start + 1, start + length), start]
+                    exps += [s] + [0] * (length - 1)
+            el = FermatGroupElement(tuple(perm), tuple(exps))
             p, sig = element_order_and_signature(el)
             if sig is not None:
                 raw.setdefault(p, set()).add(tuple(sorted(sig)))

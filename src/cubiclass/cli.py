@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or input error, 3 partial classification,
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .admissibility import admissible_primes, is_prime, max_admissible_prime
@@ -40,7 +41,10 @@ def _dump(doc) -> str:
 
 def _parse_range(spec: str):
     lo, _, hi = spec.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--range {spec!r} is not of the form lo..hi") from None
 
 
 def _admissible_value(n: int, max_only: bool):
@@ -223,7 +227,9 @@ def regen_golden(out) -> int:
 # entry point
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="cubiclass",
         description="Prime-order automorphisms of smooth cubic n-folds: "
@@ -238,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     pa = sub.add_parser("admissible", help="admissible prime tables")
-    pa.add_argument("--n", type=int)
-    pa.add_argument("--range", help="inclusive range like 11..20")
+    which = pa.add_mutually_exclusive_group()
+    which.add_argument("--n", type=int)
+    which.add_argument("--range", help="inclusive range like 11..20")
     pa.add_argument("--max-only", action="store_true")
     pa.add_argument("--format", choices=("json", "csv", "md"), default="md")
 

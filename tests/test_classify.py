@@ -1,4 +1,5 @@
 import json
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -7,6 +8,7 @@ from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
     FermatGroupElement,
     RunConfig,
+    _cycles,
     _resolve_strategy,
     classify,
     classify_all,
@@ -23,11 +25,14 @@ from cubiclass.forms import (
     CubicForm,
     coordinate_subspace_obstruction,
     eigenspace_basis,
+    lemma_base_feasible,
+    lemma_feasible_weights,
     weight_of,
 )
 from cubiclass.signatures import (
     BudgetExceededError,
     Signature,
+    _canonical_values,
     canonicalize,
     enumerate_orbits,
     equivalent,
@@ -101,6 +106,19 @@ def test_every_class_accounted_for():
     seen |= {canonicalize(r.sigma).values for r in rejected}
     expected = {s.values for s in enumerate_orbits(5, 3)}
     assert seen == expected
+
+
+def test_lemma_feasible_weights_match_the_lemma_sweep():
+    # The intersection of the translates values + 2v is exactly the set
+    # of weights lemma_base_feasible accepts, for every class classify
+    # walks at every admissible prime.
+    config = RunConfig()
+    for n in range(2, 7):
+        for p in admissible_primes(n):
+            strategy = _resolve_strategy(p, n, config)
+            for sig in enumerate_orbits(p, n, strategy, config.budget):
+                swept = [a for a in range(p) if lemma_base_feasible(sig, a)[0]]
+                assert lemma_feasible_weights(sig) == swept, (p, sig.values)
 
 
 def test_rejection_reasons():
@@ -231,6 +249,50 @@ def test_fermat_order_classes_match_full_group_sweep():
                     expected.setdefault(p, set()).add(canon)
         expected = {p: frozenset(v) for p, v in expected.items()}
         assert fermat_order_classes(n) == expected
+
+
+def _cycle_type_sweep(n):
+    """One permutation per cycle type, every exponent vector with
+    exps[0] = 0: the element sweep fermat_order_classes replaced."""
+    m = n + 2
+    raw = {}
+    cycle_types = set()
+    for perm in permutations(range(m)):
+        cycle_type = tuple(sorted(len(c) for c in _cycles(perm)))
+        if cycle_type in cycle_types:
+            continue
+        cycle_types.add(cycle_type)
+        for tail in product((0, 1, 2), repeat=m - 1):
+            p, sig = element_order_and_signature(FermatGroupElement(perm, (0,) + tail))
+            if sig is not None:
+                raw.setdefault(p, set()).add(_canonical_values(p, sorted(sig)))
+    return {p: frozenset(v) for p, v in raw.items()}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fermat_order_classes_match_cycle_type_sweep(n):
+    fermat_order_classes.cache_clear()
+    assert fermat_order_classes(n) == _cycle_type_sweep(n)
+
+
+def test_fermat_order_classes_walk_invariants_not_elements(monkeypatch):
+    # Partitions of 6 with lcm 1 or prime, times multisets of per-cycle
+    # sums: 164 elements, against 2,673 for the cycle-type sweep.
+    module = sys.modules["cubiclass.classify"]
+    real = module.element_order_and_signature
+    calls = []
+
+    def counting(el):
+        calls.append(el)
+        return real(el)
+
+    monkeypatch.setattr(module, "element_order_and_signature", counting)
+    fermat_order_classes.cache_clear()
+    try:
+        fermat_order_classes(4)
+    finally:
+        fermat_order_classes.cache_clear()
+    assert 0 < len(calls) <= 164
 
 
 def test_fermat_realizes_threefolds():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cubiclass.cli import GOLDEN_DIR, main
+from cubiclass.cli import GOLDEN_DIR, build_parser, main
 from cubiclass.forms import fermat, form_to_json, klein
 from cubiclass.signatures import Signature
 
@@ -54,6 +54,45 @@ def test_admissible_range_keeps_rows_before_an_error():
     rows = text.splitlines()
     assert [r.split(",")[0] for r in rows[:2]] == ["87", "88"]
     assert len(rows) == 3 and rows[2].startswith("error: n=89: ")
+
+
+def test_admissible_n_and_range_exclude_each_other(capsys):
+    code, text = run_cli("admissible", "--n", "3", "--range", "4..5")
+    assert code == 2 and text == ""
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["5", "a..b", "5.."])
+def test_admissible_malformed_range_names_the_option(spec):
+    code, text = run_cli("admissible", "--range", spec)
+    assert code == 2
+    assert text == f"error: --range {spec!r} is not of the form lo..hi\n"
+
+
+def test_main_parses_with_one_parser(monkeypatch):
+    parser = build_parser()
+    real = parser.parse_args
+    parsed = []
+
+    def spy(argv):
+        parsed.append(argv)
+        return real(argv)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    first = run_cli("admissible", "--n", "3")
+    second = run_cli("admissible", "--n", "3")
+    assert first == second and first[0] == 0
+    assert build_parser() is parser and len(parsed) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [("admissible", "--n", "1"), ("admissible", "--n", "x")]
+)
+def test_usage_error_after_a_successful_call(argv, capsys):
+    assert run_cli("admissible", "--n", "3")[0] == 0
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert "error:" in text + capsys.readouterr().err
 
 
 def test_admissible_json():
