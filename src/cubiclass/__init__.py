@@ -36,17 +36,14 @@ from .forms import (
     klein_signature,
     lemma_base_feasible,
     partials,
-    s3_dimension,
     weight_of,
 )
 from .smoothness import (
     DEFAULT_MODULI,
-    PolyModQ,
     SingularWitness,
     SmoothnessCertificate,
     certify_smooth_over_Q,
     find_smooth_member,
-    groebner_basis,
     is_smooth_mod_q,
     singular_point_from_lemma_base,
 )
@@ -56,7 +53,6 @@ from .classify import (
     classify,
     classify_all,
     classify_with_audit,
-    family_dimension,
     fermat_membership,
     normalizer_dim,
 )

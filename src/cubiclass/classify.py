@@ -9,13 +9,10 @@ and a witness certified smooth over the rationals.  A class with no such
 weight is reported with the reason that proves every member singular.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from math import gcd, lcm
 
-from .admissibility import admissible_primes, is_admissible, is_prime
+from .admissibility import admissible_primes, ensure_prime, is_admissible, is_prime
 from .forms import (
     coordinate_subspace_obstruction,
     eigenspace_basis,
@@ -89,11 +86,6 @@ def normalizer_dim(sig: Signature) -> int:
     for v in sig.values:
         counts[v] = counts.get(v, 0) + 1
     return sum(c * c for c in counts.values())
-
-
-def family_dimension(sig: Signature, a: int) -> int:
-    """dim of the weight-a eigenspace minus the normalizer dimension."""
-    return len(eigenspace_basis(sig, a)) - normalizer_dim(sig)
 
 
 # Family labels for cross-referencing the published threefold/fourfold
@@ -254,119 +246,36 @@ def classify_all(n: int, config: RunConfig | None = None) -> dict:
 # Fermat membership: which families contain the Fermat n-fold.
 
 
-@dataclass(frozen=True)
-class FermatGroupElement:
-    """A symmetry of the Fermat form: coordinate permutation after
-    per-coordinate cube-root scalings, taken modulo global scalars."""
-
-    perm: tuple
-    exps: tuple
-
-
-def _cycles(perm):
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cur = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cur.append(j)
-            seen[j] = True
-            j = perm[j]
-        out.append(cur)
-    return out
-
-
-def element_order_and_signature(el: FermatGroupElement):
-    """Projective order, and the signature when that order is prime.
-
-    Eigenvalues come blockwise from the permutation cycles; their exponents
-    are exact rationals with denominator 3*lcm(cycle lengths), so the order
-    and the signature (the eigenvalue ratios as powers of a primitive root
-    of unity) are computed without any floating point.
-
-    Returns (order, sigma values tuple or None).
-    """
-    cycles = _cycles(el.perm)
-    L = lcm(*(len(c) for c in cycles))
-    D = 3 * L
-    nums = []
-    for cyc in cycles:
-        m = len(cyc)
-        e_sum = sum(el.exps[i] for i in cyc) % 3
-        base = e_sum * (L // m)
-        step = 3 * (L // m)
-        for j in range(m):
-            nums.append((base + step * j) % D)
-    diffs = [(x - nums[0]) % D for x in nums]
-    g = D
-    for d in diffs:
-        g = gcd(g, d)
-    order = D // g
-    if order <= 1 or not is_prime(order):
-        return order, None
-    p = order
-    return p, tuple(d * p // D % p for d in diffs)
-
-
-def _partitions(m: int, largest: int | None = None):
-    """The partitions of m as non-increasing tuples."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(min(m, largest or m), 0, -1):
-        for rest in _partitions(m - first, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def fermat_order_classes(n: int) -> dict:
     """For each prime p, the signature classes realized inside the Fermat
     symmetry group mu_3^(n+2)/mu_3 x| S_(n+2) (Matsumura-Monsky, J. Math.
-    Kyoto Univ. 3, 1964): permutations after diagonal cube roots.
+    Kyoto Univ. 3, 1964): permutations after diagonal cube roots, taken
+    modulo scalars.  Returns p -> frozenset of canonical value tuples.
 
-    The group is walked by its invariants, not its elements: one element
-    per cycle type lambda of n + 2 and, for each cycle length, multiset of
-    per-cycle exponent sums mod 3.
-
-    * g^k has permutation part pi^k, and a monomial matrix is scalar only
-      when its permutation is the identity, so the projective order of g
-      is a multiple of lcm(lambda): only lcm 1 or prime can give a prime.
-    * element_order_and_signature reads the cycles only through their
-      lengths and each cycle's e_sum, so the representative built here
-      (consecutive cycles, the sum on each cycle's first index, 0
-      elsewhere) answers for every element with those cycle sums.
-    * Reordering the cycles moves nums[0]: that translates the signature
-      and keeps the gcd of the differences, hence the order, and
-      _canonical_values absorbs the translation.
-    * A global cube root changes no projective element, so these exps
-      reach every element of the group.
+    * p = 3.  With w a primitive cube root of unity, the diagonal element
+      with cube roots w^e_i has signature sigma_i = e_i, and it is scalar
+      exactly when e is constant, so every nonzero class of F_3^(n+2)
+      occurs.
+    * p != 3.  g^p is scalar only when its permutation is, so every cycle
+      has length 1 or p.  On a p-cycle whose cube roots multiply to w^s,
+      g^p is w^s, so the eigenvalues are t*zeta_p^j, j < p, with t the cube
+      root of unity with t^p = w^s (p is a unit mod 3).  A fixed point has a
+      cube root of unity.  A ratio of two cube roots of unity is a p-th
+      root of unity only when it is 1, so g has order p exactly when every
+      block shares t and some cycle is a p-cycle.  Dividing by t, the
+      signature is 0^(n+2-kp) (0, ..., p-1)^k for k p-cycles,
+      1 <= k <= (n+2)/p, and k plain p-cycles realize each of them.
     """
-    raw = {}
-    for cycle_type in _partitions(n + 2):
-        L = lcm(*cycle_type)
-        if L != 1 and not is_prime(L):
-            continue
-        lengths = sorted(Counter(cycle_type).items())
-        choices = (combinations_with_replacement(range(3), c) for _, c in lengths)
-        for sums in product(*choices):
-            perm, exps = [], []
-            for (length, _), block in zip(lengths, sums):
-                for s in block:
-                    start = len(perm)
-                    perm += [*range(start + 1, start + length), start]
-                    exps += [s] + [0] * (length - 1)
-            el = FermatGroupElement(tuple(perm), tuple(exps))
-            p, sig = element_order_and_signature(el)
-            if sig is not None:
-                raw.setdefault(p, set()).add(tuple(sorted(sig)))
-    return {
-        p: frozenset(_canonical_values(p, s) for s in sigs)
-        for p, sigs in raw.items()
-    }
+    m = n + 2
+    classes = {3: frozenset(sig.values for sig in enumerate_orbits(3, n))}
+    for p in range(2, m + 1):
+        if p != 3 and is_prime(p):
+            classes[p] = frozenset(
+                _canonical_values(p, (0,) * (m - k * p) + tuple(range(p)) * k)
+                for k in range(1, m // p + 1)
+            )
+    return classes
 
 
 def fermat_realizes(n: int, p: int, values, weight: int) -> bool:
@@ -377,10 +286,14 @@ def fermat_realizes(n: int, p: int, values, weight: int) -> bool:
     """
     if n not in (3, 4):
         raise ValueError("supported dimensions are 3 and 4")
+    ensure_prime(p)
+    values = tuple(values)
+    if len(values) != n + 2:
+        raise ValueError(f"a signature in dimension {n} has {n + 2} entries")
     if weight % p != 0:
         return False
     classes = fermat_order_classes(n)
-    return _canonical_values(p, tuple(values)) in classes.get(p, frozenset())
+    return _canonical_values(p, values) in classes.get(p, frozenset())
 
 
 def fermat_membership(n: int, family: FamilyRecord) -> bool:

@@ -8,7 +8,6 @@ sigma_i + sigma_j + sigma_k mod p.
 
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb
 
 from .admissibility import admissible_primes, mult_order
 from .signatures import Signature
@@ -62,13 +61,6 @@ class CubicForm:
         """Largest multiplicity of variable i over the monomials present."""
         return max((m.count(i) for m in self.terms), default=0)
 
-    def relabel(self, perm) -> "CubicForm":
-        """Variable substitution x_i -> x_perm[i]."""
-        out = {}
-        for m, c in self.terms.items():
-            out[tuple(sorted(perm[i] for i in m))] = c
-        return CubicForm(self.n, out)
-
     def __repr__(self):
         parts = []
         for m, c in sorted(self.terms.items()):
@@ -98,13 +90,6 @@ class EigenspaceBasis:
             f"EigenspaceBasis(sigma={self.signature.values}, "
             f"weight={self.weight}, dim={len(self.monomials)})"
         )
-
-
-def s3_dimension(n: int) -> int:
-    """Dimension of the space of cubic forms in n+2 variables: C(n+4, 3)."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    return comb(n + 4, 3)
 
 
 def monomial_weight(m: Monomial, sig: Signature) -> int:

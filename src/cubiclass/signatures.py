@@ -300,23 +300,27 @@ def _chain_multisets(p: int, n: int):
     with -2v, so the nonzero value set must be a union of cosets of <-2>;
     up to scaling the coset of 1 can be assumed present.  Remaining slots
     are filled from {0} and the chosen values with arbitrary multiplicity.
+    Each coset has ell = ord(-2) values, so none fits when ell > n + 2, and
+    a second one only when 2*ell <= n + 2: only then is F_p^* walked for
+    the other cosets, and otherwise the ell powers of -2 suffice.
     """
-    ell = mult_order(-2, p)
-    orbit_of = {}
-    cosets = []
-    for v in range(1, p):
-        if v in orbit_of:
-            continue
-        cur, w = [], v
-        while w not in orbit_of:
-            orbit_of[w] = v
-            cur.append(w)
-            w = (-2) * w % p
-        cosets.append(frozenset(cur))
-    base = next(c for c in cosets if 1 in c)
-    others = [c for c in cosets if c is not base]
     slots = n + 2
-    for k in range((slots // ell - 1) + 1):
+    ell = mult_order(-2, p)
+    if ell > slots:
+        return
+
+    def coset(v):
+        return frozenset(v * pow(-2, i, p) % p for i in range(ell))
+
+    base = coset(1)
+    others = []
+    if 2 * ell <= slots:
+        seen = set(base)
+        for v in range(1, p):
+            if v not in seen:
+                others.append(coset(v))
+                seen |= others[-1]
+    for k in range(slots // ell):
         for combo in combinations(others, k):
             union = set(base)
             for c in combo:

@@ -1,0 +1,26 @@
+"""Dimension counts and variable relabelling that only the tests use."""
+
+from math import comb
+
+from cubiclass.classify import normalizer_dim
+from cubiclass.forms import CubicForm, eigenspace_basis
+
+
+def s3_dimension(n: int) -> int:
+    """Dimension of the space of cubic forms in n+2 variables: C(n+4, 3)."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    return comb(n + 4, 3)
+
+
+def family_dimension(sig, a: int) -> int:
+    """dim of the weight-a eigenspace minus the normalizer dimension."""
+    return len(eigenspace_basis(sig, a)) - normalizer_dim(sig)
+
+
+def relabel(F: CubicForm, perm) -> CubicForm:
+    """Variable substitution x_i -> x_perm[i]."""
+    out = {}
+    for m, c in F.terms.items():
+        out[tuple(sorted(perm[i] for i in m))] = c
+    return CubicForm(F.n, out)

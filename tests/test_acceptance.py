@@ -21,7 +21,6 @@ from cubiclass.admissibility import admissible_primes, max_admissible_prime
 from cubiclass.classify import (
     classify,
     classify_all,
-    family_dimension,
     fermat_membership,
     fermat_realizes,
     normalizer_dim,
@@ -33,7 +32,6 @@ from cubiclass.forms import (
     klein,
     klein_signature,
     partials,
-    s3_dimension,
 )
 from cubiclass.hodge import (
     is_stable_under,
@@ -48,6 +46,7 @@ from cubiclass.signatures import (
     equivalent,
 )
 from cubiclass.smoothness import certify_smooth_over_Q, singular_point_from_lemma_base
+from form_helpers import family_dimension, relabel, s3_dimension
 from rank_oracle import rank_character
 
 ADMISSIBLE_TABLE = {
@@ -210,14 +209,14 @@ def _assert_klein_unique(n, p, records):
     perm = [0] * (n + 2)
     for rank, idx in enumerate(order):
         perm[idx] = rank
-    assert member == klein(n).relabel(perm)
+    assert member == relabel(klein(n), perm)
 
 
 def test_criterion_6_klein_uniqueness():
-    # Above 2^n only the Klein family occurs, with D = 0, at every n <= 12.
+    # Above 2^n only the Klein family occurs, with D = 0, at every n <= 30.
     t0 = time.perf_counter()
-    pairs = [(n, p) for n in range(2, 13) for p in admissible_primes(n) if p > 2**n]
-    assert {n for n, _ in pairs} == {2, 3, 5, 9, 11}
+    pairs = [(n, p) for n in range(2, 31) for p in admissible_primes(n) if p > 2**n]
+    assert {n for n, _ in pairs} == {2, 3, 5, 9, 11, 15, 17, 21, 29}
     for n, p in pairs:
         _assert_klein_unique(n, p, classify(n, p))
     assert time.perf_counter() - t0 < 30.0

@@ -1,20 +1,14 @@
 import json
-import sys
-from itertools import permutations, product
 
 import pytest
 
 from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
-    FermatGroupElement,
     RunConfig,
-    _cycles,
     _resolve_strategy,
     classify,
     classify_all,
     classify_with_audit,
-    element_order_and_signature,
-    family_dimension,
     fermat_membership,
     fermat_order_classes,
     fermat_realizes,
@@ -39,6 +33,14 @@ from cubiclass.signatures import (
     family_key,
 )
 from cubiclass.smoothness import DEFAULT_MODULI, find_smooth_member, is_smooth_mod_q
+from fermat_oracle import (
+    FermatGroupElement,
+    cycle_sum_walk,
+    cycle_type_sweep,
+    element_order_and_signature,
+    element_sweep,
+)
+from form_helpers import family_dimension
 
 
 def test_normalizer_dim():
@@ -233,66 +235,21 @@ def test_element_order_and_signature():
     assert order == 1 and sigma is None
 
 
+# The closed formula of fermat_order_classes against walks of the Fermat
+# symmetry group, from every element down to one element per cycle sums.
 def test_fermat_order_classes_match_full_group_sweep():
-    # One permutation per cycle type with exps[0] = 0 must give the same
-    # classes as every element of the Fermat symmetry group.
-    fermat_order_classes.cache_clear()
     for n in (2, 3):
-        m = n + 2
-        expected = {}
-        for perm in permutations(range(m)):
-            for exps in product((0, 1, 2), repeat=m):
-                el = FermatGroupElement(perm, exps)
-                p, sigma = element_order_and_signature(el)
-                if sigma is not None:
-                    canon = canonicalize(Signature(p, sigma)).values
-                    expected.setdefault(p, set()).add(canon)
-        expected = {p: frozenset(v) for p, v in expected.items()}
-        assert fermat_order_classes(n) == expected
-
-
-def _cycle_type_sweep(n):
-    """One permutation per cycle type, every exponent vector with
-    exps[0] = 0: the element sweep fermat_order_classes replaced."""
-    m = n + 2
-    raw = {}
-    cycle_types = set()
-    for perm in permutations(range(m)):
-        cycle_type = tuple(sorted(len(c) for c in _cycles(perm)))
-        if cycle_type in cycle_types:
-            continue
-        cycle_types.add(cycle_type)
-        for tail in product((0, 1, 2), repeat=m - 1):
-            p, sig = element_order_and_signature(FermatGroupElement(perm, (0,) + tail))
-            if sig is not None:
-                raw.setdefault(p, set()).add(_canonical_values(p, sorted(sig)))
-    return {p: frozenset(v) for p, v in raw.items()}
+        assert fermat_order_classes(n) == element_sweep(n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_fermat_order_classes_match_cycle_type_sweep(n):
-    fermat_order_classes.cache_clear()
-    assert fermat_order_classes(n) == _cycle_type_sweep(n)
+    assert fermat_order_classes(n) == cycle_type_sweep(n)
 
 
-def test_fermat_order_classes_walk_invariants_not_elements(monkeypatch):
-    # Partitions of 6 with lcm 1 or prime, times multisets of per-cycle
-    # sums: 164 elements, against 2,673 for the cycle-type sweep.
-    module = sys.modules["cubiclass.classify"]
-    real = module.element_order_and_signature
-    calls = []
-
-    def counting(el):
-        calls.append(el)
-        return real(el)
-
-    monkeypatch.setattr(module, "element_order_and_signature", counting)
-    fermat_order_classes.cache_clear()
-    try:
-        fermat_order_classes(4)
-    finally:
-        fermat_order_classes.cache_clear()
-    assert 0 < len(calls) <= 164
+@pytest.mark.parametrize("n", range(7, 13))
+def test_fermat_order_classes_match_cycle_sum_walk(n):
+    assert fermat_order_classes(n) == cycle_sum_walk(n)
 
 
 def test_fermat_realizes_threefolds():
@@ -308,6 +265,16 @@ def test_fermat_realizes_fourfolds():
     assert fermat_realizes(4, 5, (1, 1, 2, 2, 3, 4), 0) is False
     assert fermat_realizes(4, 7, (1, 2, 3, 4, 5, 6), 0) is False
     assert fermat_realizes(4, 11, (0, 1, 3, 4, 5, 9), 0) is False
+
+
+def test_fermat_realizes_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="modulus must be prime, got 4"):
+        fermat_realizes(3, 4, (0, 0, 0, 1, 2), 0)
+
+
+def test_fermat_realizes_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="dimension 3 has 5 entries"):
+        fermat_realizes(3, 5, (0, 1, 2, 3), 0)
 
 
 def test_fermat_membership_on_records():

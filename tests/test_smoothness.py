@@ -18,14 +18,14 @@ from cubiclass.signatures import Signature
 from cubiclass import smoothness
 from cubiclass.smoothness import (
     DEFAULT_MODULI,
-    PolyModQ,
     certify_smooth_over_Q,
     complete_intersection_dim,
     find_smooth_member,
-    groebner_basis,
     is_smooth_mod_q,
     singular_point_from_lemma_base,
 )
+from form_helpers import relabel
+from groebner_oracle import PolyModQ, groebner_basis
 from rank_oracle import rank_mod_q
 
 
@@ -374,7 +374,7 @@ def test_find_smooth_member_klein_chain():
     perm = [0] * 7
     for rank, idx in enumerate(order):
         perm[idx] = rank
-    assert member == klein(5).relabel(perm)
+    assert member == relabel(klein(5), perm)
 
 
 def test_find_smooth_member_deterministic():

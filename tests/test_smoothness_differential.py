@@ -15,12 +15,8 @@ sympy = pytest.importorskip("sympy")
 
 from cubiclass.cli import GOLDEN_DIR
 from cubiclass.forms import CubicForm
-from cubiclass.smoothness import (
-    PolyModQ,
-    groebner_basis,
-    is_smooth_mod_q,
-    singular_point_from_lemma_base,
-)
+from cubiclass.smoothness import is_smooth_mod_q, singular_point_from_lemma_base
+from groebner_oracle import PolyModQ, groebner_basis
 
 
 def sympy_reduced_basis(gens_terms, nvars, q):
