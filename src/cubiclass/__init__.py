@@ -49,7 +49,6 @@ from .smoothness import (
 )
 from .classify import (
     FamilyRecord,
-    RunConfig,
     classify,
     classify_all,
     classify_with_audit,

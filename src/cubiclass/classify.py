@@ -24,20 +24,6 @@ from .smoothness import DEFAULT_MODULI, find_smooth_member
 
 
 @dataclass
-class RunConfig:
-    """Knobs shared by classify and the command line."""
-
-    strategy: str = "auto"
-    budget: int = 10**8
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.strategy not in ("auto", "exhaustive", "chain_pruned"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
-@dataclass
 class FamilyRecord:
     """One classified family, or a rejected class when rejected_reason is set."""
 
@@ -184,36 +170,29 @@ def _process_class(class_sig: Signature):
     return records, None, missing
 
 
-def _resolve_strategy(p: int, n: int, config: RunConfig) -> str:
-    """exhaustive for p <= 3 whatever is asked, as chain_pruned needs p > 3;
-    else the strategy asked, auto meaning exhaustive when p^(n+2) fits the
-    budget.  auto does not read the walk size that enumerate_orbits checks:
-    at p = 43, n = 5 that walk, 36,768,270 lead-block candidates, fits the
-    default budget and would add lemma_base rows where the Klein family is
-    the whole classification.
+def _resolve_strategy(p: int, n: int) -> str:
+    """exhaustive when p <= 3 (chain_pruned needs p > 3) or p^(n+2) <= 10^8,
+    else chain_pruned.  The rule does not read the walk size that
+    enumerate_orbits checks: at p = 43, n = 5 that walk, 36,768,270
+    lead-block candidates, is under 10^8 and would add lemma_base rows
+    where the Klein family is the whole classification.
     """
-    if p <= 3:
-        return "exhaustive"
-    if config.strategy != "auto":
-        return config.strategy
-    return "exhaustive" if p ** (n + 2) <= config.budget else "chain_pruned"
+    return "exhaustive" if p <= 3 or p ** (n + 2) <= 10**8 else "chain_pruned"
 
 
-def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
+def classify_with_audit(n: int, p: int):
     """(accepted records, rejected classes, notes) for one prime.
 
     Raises BudgetExceededError after every class is processed if any family
     was left without a witness, naming each such family and carrying the
     rows that were decided.
     """
-    config = config or RunConfig()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not is_admissible(p, n):
         return [], [], [f"{p} not admissible in dimension {n}"]
-    strategy = _resolve_strategy(p, n, config)
     accepted, rejected, missing = [], [], []
-    for c in enumerate_orbits(p, n, strategy, config.budget):
+    for c in enumerate_orbits(p, n, _resolve_strategy(p, n)):
         recs, rej, miss = _process_class(c)
         accepted.extend(recs)
         missing.extend(miss)
@@ -231,15 +210,15 @@ def classify_with_audit(n: int, p: int, config: RunConfig | None = None):
     return accepted, rejected, []
 
 
-def classify(n: int, p: int, config: RunConfig | None = None) -> list:
+def classify(n: int, p: int) -> list:
     """All families of smooth cubic n-folds with an order-p automorphism."""
-    records, _, _ = classify_with_audit(n, p, config)
+    records, _, _ = classify_with_audit(n, p)
     return records
 
 
-def classify_all(n: int, config: RunConfig | None = None) -> dict:
+def classify_all(n: int) -> dict:
     """classify over every admissible prime for dimension n."""
-    return {p: classify(n, p, config) for p in admissible_primes(n)}
+    return {p: classify(n, p) for p in admissible_primes(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +263,6 @@ def fermat_realizes(n: int, p: int, values, weight: int) -> bool:
     Every Fermat symmetry fixes the form exactly (cube-root scalings fix the
     cubes), so only weight 0 can match.
     """
-    if n not in (3, 4):
-        raise ValueError("supported dimensions are 3 and 4")
     ensure_prime(p)
     values = tuple(values)
     if len(values) != n + 2:

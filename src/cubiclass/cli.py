@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .admissibility import admissible_primes, is_prime, max_admissible_prime
-from .classify import RunConfig, classify_with_audit
+from .classify import classify_with_audit
 from .forms import form_from_json
 from .hodge import is_stable_under, klein_tangent_spectrum
 from .signatures import BudgetExceededError
@@ -92,12 +92,12 @@ def _sigma_str(values) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _classification_document(n: int, primes, config: RunConfig, seed: int = 0):
+def _classification_document(n: int, primes, seed: int = 0):
     families, rejected, notes = [], [], []
     partial = False
     for p in primes:
         try:
-            acc, rej, why = classify_with_audit(n, p, config)
+            acc, rej, why = classify_with_audit(n, p)
         except BudgetExceededError as exc:
             partial = True
             acc, rej, why = exc.accepted, exc.rejected, [f"p={p}: incomplete: {exc}"]
@@ -139,14 +139,13 @@ def _render_classification(doc, fmt: str, out):
 
 
 def cmd_classify(args, out) -> int:
-    config = RunConfig(strategy=args.strategy, budget=args.budget)
     if args.p is not None:
         if not is_prime(args.p):
             raise ValueError(f"--p {args.p} is not prime")
         primes = [args.p]
     else:
         primes = list(admissible_primes(args.n))
-    doc, partial = _classification_document(args.n, primes, config, args.seed)
+    doc, partial = _classification_document(args.n, primes, args.seed)
     _render_classification(doc, args.format, out)
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -211,7 +210,7 @@ def _golden_documents():
         }
     )
     for n in range(2, 9):
-        doc, _ = _classification_document(n, list(admissible_primes(n)), RunConfig())
+        doc, _ = _classification_document(n, list(admissible_primes(n)))
         yield f"classify_n{n}.json", _dump(doc)
 
 
@@ -253,14 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("classify", help="classify families for dimension n")
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--p", type=int)
-    pc.add_argument(
-        "--strategy",
-        choices=("auto", "exhaustive", "chain_pruned"),
-        default="auto",
-    )
     # Only echoed as "seed": bench/workloads.py passes it and checks the echo.
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--budget", type=int, default=10**8)
     pc.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
     ps = sub.add_parser("smooth", help="certify a cubic form file")

@@ -354,7 +354,7 @@ def enumerate_orbits(
     if strategy == "exhaustive":
         work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
         if work > budget:
-            hint = "use the chain_pruned strategy" if p > 3 else "raise --budget"
+            hint = "use the chain_pruned strategy" if p > 3 else "pass a larger budget"
             raise BudgetExceededError(
                 f"{work} lead-block candidates exceed budget {budget}; {hint}"
             )

@@ -4,7 +4,7 @@ import pytest
 
 from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
-    RunConfig,
+    FamilyRecord,
     _resolve_strategy,
     classify,
     classify_all,
@@ -27,6 +27,7 @@ from cubiclass.signatures import (
     BudgetExceededError,
     Signature,
     _canonical_values,
+    _lead_shaped_count,
     canonicalize,
     enumerate_orbits,
     equivalent,
@@ -114,13 +115,39 @@ def test_lemma_feasible_weights_match_the_lemma_sweep():
     # The intersection of the translates values + 2v is exactly the set
     # of weights lemma_base_feasible accepts, for every class classify
     # walks at every admissible prime.
-    config = RunConfig()
     for n in range(2, 7):
         for p in admissible_primes(n):
-            strategy = _resolve_strategy(p, n, config)
-            for sig in enumerate_orbits(p, n, strategy, config.budget):
+            for sig in enumerate_orbits(p, n, _resolve_strategy(p, n)):
                 swept = [a for a in range(p) if lemma_base_feasible(sig, a)[0]]
                 assert lemma_feasible_weights(sig) == swept, (p, sig.values)
+
+
+# The admissible pairs with n <= 8 that classify walks chain-pruned.
+CHAIN_PRUNED = {
+    (43, 5),
+    (11, 6), (17, 6), (43, 6),
+    (11, 7), (17, 7), (19, 7), (43, 7),
+    (7, 8), (11, 8), (17, 8), (19, 8), (31, 8), (43, 8),
+}
+
+
+def test_resolve_strategy_reads_p_and_n_only():
+    # Exhaustive when p <= 3 or p^(n+2) <= 10^8.  Wherever that holds up to
+    # n = 40 the walk is far inside enumerate_orbits' default budget, so
+    # the budget never ends a classify run.
+    pruned = {
+        (p, n)
+        for n in range(2, 9)
+        for p in admissible_primes(n)
+        if _resolve_strategy(p, n) == "chain_pruned"
+    }
+    assert pruned == CHAIN_PRUNED
+    for n in range(2, 41):
+        assert _resolve_strategy(2, n) == _resolve_strategy(3, n) == "exhaustive"
+        for p in admissible_primes(n):
+            if _resolve_strategy(p, n) == "exhaustive":
+                work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
+                assert work <= 10**8, (p, n, work)
 
 
 def test_rejection_reasons():
@@ -166,8 +193,7 @@ def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
     # so the default witness search certifies one.
     found = []
     for p in admissible_primes(n):
-        strategy = _resolve_strategy(p, n, RunConfig())
-        for c in enumerate_orbits(p, n, strategy):
+        for c in enumerate_orbits(p, n, _resolve_strategy(p, n)):
             for a in range(p):
                 if coordinate_subspace_obstruction(c, a) is None:
                     assert find_smooth_member(c, a) is not None, (p, c.values, a)
@@ -284,10 +310,22 @@ def test_fermat_membership_on_records():
     assert all(fermat_membership(3, r) for r in records)
 
 
-def test_fermat_membership_unsupported_dimension():
-    rec = classify(2, 5)[0]
-    with pytest.raises(ValueError):
-        fermat_membership(2, rec)
+@pytest.mark.parametrize("n", [2, 5, 6, 7, 8])
+def test_fermat_membership_matches_the_oracle_on_golden_families(n):
+    # fermat_membership holds in every dimension: on each golden family it
+    # agrees with the class sets a walk of the Fermat symmetry group finds.
+    oracle = cycle_type_sweep(n) if n <= 6 else cycle_sum_walk(n)
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    verdicts = []
+    for row in doc["families"]:
+        p, sigma, weight = row["p"], Signature(row["p"], row["sigma"]), row["weight"]
+        rec = FamilyRecord(p, n, sigma, weight, row["dim_E"], row["dim_norm"], row["D"])
+        expected = weight == 0 and _canonical_values(p, sigma.values) in oracle.get(
+            p, frozenset()
+        )
+        assert fermat_membership(n, rec) is expected, (p, sigma.values, weight)
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def test_record_json_shape():

@@ -139,17 +139,6 @@ def test_classify_rejects_pseudoprimes():
     assert text.startswith("error:")
 
 
-def test_classify_chain_pruned_resolves_small_primes():
-    # p = 2 and 3 run exhaustively whatever strategy is asked for.
-    code, text = run_cli("classify", "--n", "5", "--strategy", "chain_pruned")
-    assert code == 0
-    doc = json.loads(text)
-    assert {r["p"] for r in doc["families"]} == {2, 3, 5, 7, 11, 43}
-    (klein5,) = [r for r in doc["families"] if r["p"] == 43]
-    assert klein5["sigma"] == [1, 4, 11, 16, 21, 35, 41]
-    assert klein5["D"] == 0
-
-
 def test_classify_json_shape():
     code, text = run_cli("classify", "--n", "3", "--p", "11")
     assert code == 0
@@ -323,20 +312,6 @@ def test_no_command_usage():
     assert code == 2
 
 
-def test_classify_budget_exhaustion_partial():
-    for argv in (
-        ("--n", "9", "--p", "683", "--strategy", "exhaustive", "--budget", "1000"),
-        # auto must not pick chain_pruned, which needs p > 3.
-        ("--n", "2", "--p", "3", "--budget", "10"),
-        ("--n", "2", "--p", "2", "--budget", "10"),
-    ):
-        code, text = run_cli("classify", *argv)
-        assert code == 3, argv
-        doc = json.loads(text)
-        assert doc["families"] == []
-        assert any("incomplete" in note for note in doc["notes"]), argv
-
-
 def golden_rows(n, p, key):
     doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
     return [r for r in doc[key] if r["p"] == p]
@@ -406,6 +381,15 @@ def test_classify_has_no_trials_option():
     assert code == 2
 
 
+def test_classify_has_no_strategy_or_budget_option():
+    # n and p alone choose the orbit walk, and the walks classify picks
+    # always fit the enumeration budget.
+    code, _ = run_cli("classify", "--n", "3", "--strategy", "exhaustive")
+    assert code == 2
+    code, _ = run_cli("classify", "--n", "3", "--budget", "5")
+    assert code == 2
+
+
 def test_classify_seed_is_only_echoed():
     code0, text0 = run_cli("classify", "--n", "3")
     code7, text7 = run_cli("classify", "--n", "3", "--seed", "7")
@@ -420,7 +404,6 @@ def test_classify_seed_is_only_echoed():
     [
         ("classify", "--n", "3", "--p", "4"),
         ("classify", "--n", "1"),
-        ("classify", "--n", "3", "--p", "2", "--budget", "-1"),
         ("admissible", "--n", "1"),
         ("admissible", "--range", "5..3"),
         ("admissible",),
@@ -477,8 +460,7 @@ def test_golden_classification_matches_fresh_run(n):
     # a change to the Groebner engine that alters the basis it builds shows
     # up here.
     from cubiclass.cli import _classification_document, _dump
-    from cubiclass.classify import RunConfig
     from cubiclass.admissibility import admissible_primes
-    doc, partial = _classification_document(n, list(admissible_primes(n)), RunConfig())
+    doc, partial = _classification_document(n, list(admissible_primes(n)))
     assert not partial
     assert _dump(doc) == (GOLDEN_DIR / f"classify_n{n}.json").read_text()

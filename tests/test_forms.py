@@ -20,7 +20,7 @@ from cubiclass.forms import (
     partials,
     weight_of,
 )
-from cubiclass.classify import RunConfig, _resolve_strategy, classify
+from cubiclass.classify import _resolve_strategy, classify
 from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
 from cubiclass.smoothness import DEFAULT_MODULI, is_smooth_mod_q
 from form_helpers import relabel, s3_dimension
@@ -234,7 +234,7 @@ def test_value_set_search_matches_index_subsets(n):
     # indices of one value, since an invertible member rules out every
     # larger obstruction.
     for p in admissible_primes(n):
-        for sig in enumerate_orbits(p, n, _resolve_strategy(p, n, RunConfig())):
+        for sig in enumerate_orbits(p, n, _resolve_strategy(p, n)):
             for a in range(p):
                 T = coordinate_subspace_obstruction(sig, a)
                 assert (T is None) == (_index_subset_obstruction(sig, a) is None), (
