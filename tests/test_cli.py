@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import time
@@ -137,6 +138,17 @@ def test_classify_rejects_pseudoprimes():
     code, text = run_cli("classify", "--n", "3", "--p", "3317044064679887385961981")
     assert code == 2
     assert text.startswith("error:")
+
+
+def test_classify_chain_pruned_resolves_small_primes():
+    # p = 2 and 3 are walked exhaustively; 43 is walked chain-pruned.
+    code, text = run_cli("classify", "--n", "5")
+    assert code == 0
+    doc = json.loads(text)
+    assert {r["p"] for r in doc["families"]} == {2, 3, 5, 7, 11, 43}
+    (klein5,) = [r for r in doc["families"] if r["p"] == 43]
+    assert klein5["sigma"] == [1, 4, 11, 16, 21, 35, 41]
+    assert klein5["D"] == 0
 
 
 def test_classify_json_shape():
@@ -310,6 +322,27 @@ def test_spectrum_unsupported():
 def test_no_command_usage():
     code, _ = run_cli()
     assert code == 2
+
+
+def test_classify_budget_exhaustion_partial(monkeypatch):
+    # The walks classify picks fit the enumeration budget, so a budget of
+    # 10 is forced here to reach the report of an exhausted one: exit 3,
+    # nothing decided, an incomplete note.
+    classify_module = importlib.import_module("cubiclass.classify")
+    real = classify_module.enumerate_orbits
+
+    def small_budget(p, n, strategy="exhaustive"):
+        return real(p, n, strategy, budget=10)
+
+    monkeypatch.setattr(classify_module, "enumerate_orbits", small_budget)
+    # p <= 3 must be walked exhaustively: chain_pruned needs p > 3.
+    for argv in (("--n", "3", "--p", "5"), ("--n", "2", "--p", "3"), ("--n", "2", "--p", "2")):
+        code, text = run_cli("classify", *argv)
+        assert code == 3, argv
+        doc = json.loads(text)
+        assert doc["families"] == [] and doc["rejected"] == [], argv
+        (note,) = doc["notes"]
+        assert "incomplete" in note and "exceed budget 10" in note, argv
 
 
 def golden_rows(n, p, key):
