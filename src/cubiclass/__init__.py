@@ -15,7 +15,7 @@ from .admissibility import (
 )
 from .signatures import (
     AffinePermAction,
-    BudgetExceededError,
+    IncompleteError,
     Signature,
     act,
     canonicalize,

@@ -18,7 +18,7 @@ from .forms import (
     eigenspace_basis,
     lemma_feasible_weights,
 )
-from .signatures import BudgetExceededError, Signature, _canonical_values
+from .signatures import IncompleteError, Signature, _canonical_values
 from .signatures import enumerate_orbits, family_key
 from .smoothness import DEFAULT_MODULI, find_smooth_member
 
@@ -183,7 +183,7 @@ def _resolve_strategy(p: int, n: int) -> str:
 def classify_with_audit(n: int, p: int):
     """(accepted records, rejected classes, notes) for one prime.
 
-    Raises BudgetExceededError after every class is processed if any family
+    Raises IncompleteError after every class is processed if any family
     was left without a witness, naming each such family and carrying the
     rows that were decided.
     """
@@ -201,7 +201,7 @@ def classify_with_audit(n: int, p: int):
     accepted.sort(key=lambda r: (r.sigma.values, r.weight))
     rejected.sort(key=lambda r: r.sigma.values)
     if missing:
-        raise BudgetExceededError(
+        raise IncompleteError(
             f"no witness certified at moduli {list(DEFAULT_MODULI)} for "
             f"{'; '.join(missing)}",
             accepted,
@@ -233,9 +233,11 @@ def fermat_order_classes(n: int) -> dict:
     modulo scalars.  Returns p -> frozenset of canonical value tuples.
 
     * p = 3.  With w a primitive cube root of unity, the diagonal element
-      with cube roots w^e_i has signature sigma_i = e_i, and it is scalar
-      exactly when e is constant, so every nonzero class of F_3^(n+2)
-      occurs.
+      with cube roots w^e_i has signature e, scalar exactly when e is
+      constant, so every nonzero class of F_3^(n+2) occurs.  AGL(1, 3)
+      permutes {0, 1, 2} as the whole of S_3, so a class is its sorted
+      multiplicity triple: every 0^a 1^b 2^c with a >= b >= c, b >= 1 and
+      a + b + c = n + 2.
     * p != 3.  g^p is scalar only when its permutation is, so every cycle
       has length 1 or p.  On a p-cycle whose cube roots multiply to w^s,
       g^p is w^s, so the eigenvalues are t*zeta_p^j, j < p, with t the cube
@@ -247,7 +249,10 @@ def fermat_order_classes(n: int) -> dict:
       1 <= k <= (n+2)/p, and k plain p-cycles realize each of them.
     """
     m = n + 2
-    classes = {3: frozenset(sig.values for sig in enumerate_orbits(3, n))}
+    classes = {3: frozenset(
+        (0,) * a + (1,) * b + (2,) * (m - a - b)
+        for a in range(m) for b in range(1, a + 1) if 0 <= m - a - b <= b
+    )}
     for p in range(2, m + 1):
         if p != 3 and is_prime(p):
             classes[p] = frozenset(

@@ -15,7 +15,7 @@ from .admissibility import admissible_primes, is_prime, max_admissible_prime
 from .classify import classify_with_audit
 from .forms import form_from_json
 from .hodge import is_stable_under, klein_tangent_spectrum
-from .signatures import BudgetExceededError
+from .signatures import IncompleteError
 from .smoothness import (
     DEFAULT_MODULI,
     certify_smooth_over_Q,
@@ -98,7 +98,7 @@ def _classification_document(n: int, primes, seed: int = 0):
     for p in primes:
         try:
             acc, rej, why = classify_with_audit(n, p)
-        except BudgetExceededError as exc:
+        except IncompleteError as exc:
             partial = True
             acc, rej, why = exc.accepted, exc.rejected, [f"p={p}: incomplete: {exc}"]
         families.extend(r.to_json() for r in acc)
@@ -168,10 +168,9 @@ def cmd_smooth(args, out) -> int:
     if witness is not None:
         out.write(_dump({"singular_witness": witness.to_json()}))
         return EXIT_SINGULAR
-    moduli = tuple(args.moduli) if args.moduli else DEFAULT_MODULI
-    cert = certify_smooth_over_Q(F, moduli)
+    cert = certify_smooth_over_Q(F)
     if cert is None:
-        out.write(_dump({"result": "inconclusive", "moduli": list(moduli)}))
+        out.write(_dump({"result": "inconclusive", "moduli": list(DEFAULT_MODULI)}))
         return EXIT_INCONCLUSIVE
     out.write(_dump({"certificate": cert.to_json()}))
     return EXIT_OK
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("smooth", help="certify a cubic form file")
     ps.add_argument("form", help="JSON form file")
-    ps.add_argument("--moduli", type=int, nargs="*")
 
     pq = sub.add_parser("spectrum", help="Klein tangent-space spectrum")
     pq.add_argument("--klein", type=int, required=True)

@@ -13,11 +13,11 @@ from math import comb
 from .admissibility import ensure_prime, mult_order
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when an answer is incomplete: the enumeration budget ran out,
-    or no default modulus certified the witness of a smooth family.  A
-    witness left uncertified carries the rows that were decided, as
-    accepted and rejected; an enumeration budget carries none."""
+class IncompleteError(RuntimeError):
+    """An incomplete answer, for one of two causes: an exhaustive orbit walk
+    over its enumeration budget, or a smooth family's witness that no
+    default modulus certifies.  The latter carries the rows that were
+    decided, as accepted and rejected; an exceeded budget carries none."""
 
     def __init__(self, message, accepted=(), rejected=()):
         super().__init__(message)
@@ -354,8 +354,8 @@ def enumerate_orbits(
     if strategy == "exhaustive":
         work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
         if work > budget:
-            hint = "use the chain_pruned strategy" if p > 3 else "pass a larger budget"
-            raise BudgetExceededError(
+            hint = "use the chain_pruned strategy" if p > 3 else "no pruning at p <= 3"
+            raise IncompleteError(
                 f"{work} lead-block candidates exceed budget {budget}; {hint}"
             )
         return _emit_classes(p, n, _lead_shaped_multisets(p, n + 2))

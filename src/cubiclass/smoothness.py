@@ -20,8 +20,8 @@ from .forms import (
 )
 from .signatures import Signature
 
-# Avoids 2 and 3 (degree-3 differentiation constants must stay units); the
-# later entries guard against bad reduction of an individual form.
+# Primes avoiding 2 and 3 (degree-3 differentiation constants must stay
+# units); the later entries guard against bad reduction of a single form.
 DEFAULT_MODULI = (10007, 30011, 65537, 104729)
 
 
@@ -239,12 +239,6 @@ def _partials_mod_q(F: CubicForm, q: int, P: _Packed) -> list:
     ]
 
 
-def _check_modulus(q: int):
-    ensure_prime(q)
-    if q in (2, 3):
-        raise ValueError("modulus must avoid 2 and 3")
-
-
 def is_smooth_mod_q(F: CubicForm, q: int):
     """Certificate that V(F) is smooth over the closure of F_q, or None.
 
@@ -268,7 +262,9 @@ def is_smooth_mod_q(F: CubicForm, q: int):
     has all its pure powers by degree nv + 1 and a singular one stops at
     the first pair above it: the verdict is exact in both directions.
     """
-    _check_modulus(q)
+    ensure_prime(q)
+    if q in (2, 3):
+        raise ValueError("modulus must avoid 2 and 3")
     nv = F.n + 2
     P = _Packed(nv)
     gens = _partials_mod_q(F, q, P)
@@ -284,18 +280,14 @@ def is_smooth_mod_q(F: CubicForm, q: int):
     return None
 
 
-def certify_smooth_over_Q(F: CubicForm, q_list=DEFAULT_MODULI):
-    """First modulus in q_list that certifies F smooth, or None.
+def certify_smooth_over_Q(F: CubicForm):
+    """First modulus of DEFAULT_MODULI that certifies F smooth, or None.
 
     A smooth reduction at one good prime forces the generic fiber to be
-    smooth, so any single certificate is conclusive; running through the
-    list only guards against bad reduction, such as a modulus dividing every
-    coefficient.  Exhausting the list proves nothing about singularity.
+    smooth; the moduli, each skipped when it divides every coefficient, only
+    step past bad reduction.  None proves nothing about singularity.
     """
-    if not q_list:
-        raise ValueError("empty modulus list")
-    for q in q_list:
-        _check_modulus(q)
+    for q in DEFAULT_MODULI:
         if all(c % q == 0 for c in F.terms.values()):
             continue
         cert = is_smooth_mod_q(F, q)

@@ -16,8 +16,8 @@ def refuse_witnesses(monkeypatch):
     def refuse(*families):
         refused = {frozenset(invertible_member(sig, a)) for sig, a in families}
 
-        def certify(F, q_list=smoothness.DEFAULT_MODULI):
-            return None if frozenset(F.terms) in refused else real(F, q_list)
+        def certify(F):
+            return None if frozenset(F.terms) in refused else real(F)
 
         monkeypatch.setattr(smoothness, "certify_smooth_over_Q", certify)
 

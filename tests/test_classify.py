@@ -24,7 +24,7 @@ from cubiclass.forms import (
     weight_of,
 )
 from cubiclass.signatures import (
-    BudgetExceededError,
+    IncompleteError,
     Signature,
     _canonical_values,
     _lead_shaped_count,
@@ -133,8 +133,9 @@ CHAIN_PRUNED = {
 
 def test_resolve_strategy_reads_p_and_n_only():
     # Exhaustive when p <= 3 or p^(n+2) <= 10^8.  Wherever that holds up to
-    # n = 40 the walk is far inside enumerate_orbits' default budget, so
-    # the budget never ends a classify run.
+    # n = 40 the walk is far inside enumerate_orbits' default budget; the
+    # budget first ends a classify run at n = 183 for p = 3 and n = 584 for
+    # p = 2 (see test_cli.test_classify_past_the_budget_is_partial).
     pruned = {
         (p, n)
         for n in range(2, 9)
@@ -207,7 +208,7 @@ def test_witness_search_running_out_is_not_a_rejection(refuse_witnesses):
     refuse_witnesses(
         (Signature(2, (0, 0, 0, 0, 1)), 0), (Signature(2, (0, 0, 0, 1, 1)), 0)
     )
-    with pytest.raises(BudgetExceededError, match="no witness certified at moduli"):
+    with pytest.raises(IncompleteError, match="no witness certified at moduli"):
         classify_with_audit(3, 2)
 
 
@@ -276,6 +277,19 @@ def test_fermat_order_classes_match_cycle_type_sweep(n):
 @pytest.mark.parametrize("n", range(7, 13))
 def test_fermat_order_classes_match_cycle_sum_walk(n):
     assert fermat_order_classes(n) == cycle_sum_walk(n)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_fermat_order_classes_at_3_are_every_nonzero_class(n):
+    # The p = 3 formula (sorted multiplicity triples) against the orbit walk.
+    assert fermat_order_classes(n)[3] == {c.values for c in enumerate_orbits(3, n)}
+
+
+def test_fermat_realizes_past_the_orbit_walk_budget():
+    # From n = 183 enumerate_orbits(3, n) exceeds its budget; the formula
+    # does not walk.
+    assert fermat_realizes(183, 3, (0,) * 184 + (1,), 0) is True
+    assert fermat_realizes(183, 3, (0,) * 185, 0) is False
 
 
 def test_fermat_realizes_threefolds():

@@ -1,13 +1,17 @@
 import importlib
 import io
 import json
+import shlex
 import time
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from cubiclass.cli import GOLDEN_DIR, build_parser, main
 from cubiclass.forms import fermat, form_to_json, klein
 from cubiclass.signatures import Signature
+from cubiclass.smoothness import DEFAULT_MODULI
 
 
 def run_cli(*argv):
@@ -216,9 +220,26 @@ def test_smooth_form_vanishing_at_first_modulus(tmp_path):
     code, text = run_cli("smooth", str(path))
     assert code == 0
     assert json.loads(text)["certificate"]["modulus"] == 30011
-    code, text = run_cli("smooth", str(path), "--moduli", "10007")
+
+
+def test_smooth_form_vanishing_at_every_modulus(tmp_path):
+    # Bad reduction at all of DEFAULT_MODULI: inconclusive, not a verdict.
+    doc = form_to_json(fermat(3))
+    for term in doc["terms"]:
+        term["c"] *= prod(DEFAULT_MODULI)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli("smooth", str(path))
     assert code == 5
-    assert json.loads(text)["result"] == "inconclusive"
+    assert json.loads(text) == {"result": "inconclusive", "moduli": list(DEFAULT_MODULI)}
+
+
+def test_smooth_has_no_moduli_option(tmp_path):
+    # One good prime certifies; DEFAULT_MODULI is the only list tried.
+    path = tmp_path / "klein3.json"
+    path.write_text(json.dumps(form_to_json(klein(3))))
+    code, _ = run_cli("smooth", str(path), "--moduli", "10007")
+    assert code == 2
 
 
 def test_smooth_rejects_zero_form(tmp_path):
@@ -325,9 +346,10 @@ def test_no_command_usage():
 
 
 def test_classify_budget_exhaustion_partial(monkeypatch):
-    # The walks classify picks fit the enumeration budget, so a budget of
-    # 10 is forced here to reach the report of an exhausted one: exit 3,
-    # nothing decided, an incomplete note.
+    # classify's walks fit the enumeration budget below n = 183 at p = 3
+    # (584 at p = 2), so a budget of 10 is forced here to reach the report
+    # of an exhausted one at small n: exit 3, nothing decided, an
+    # incomplete note.
     classify_module = importlib.import_module("cubiclass.classify")
     real = classify_module.enumerate_orbits
 
@@ -343,6 +365,19 @@ def test_classify_budget_exhaustion_partial(monkeypatch):
         assert doc["families"] == [] and doc["rejected"] == [], argv
         (note,) = doc["notes"]
         assert "incomplete" in note and "exceed budget 10" in note, argv
+
+
+def test_classify_past_the_budget_is_partial():
+    # At p = 3 the exhaustive walk needs 100,213,760 lead-block candidates
+    # from n = 183, past the default budget; the count is closed-form, so
+    # the run ends before any walk.  The note names no option.
+    code, text = run_cli("classify", "--n", "183", "--p", "3")
+    assert code == 3
+    doc = json.loads(text)
+    assert doc["families"] == [] and doc["rejected"] == []
+    (note,) = doc["notes"]
+    assert note.startswith("p=3: incomplete: 100213760 lead-block candidates")
+    assert "--" not in note
 
 
 def golden_rows(n, p, key):
@@ -403,7 +438,7 @@ def test_classify_trials_exhaustion_keeps_certified_families(refuse_witnesses):
 
 
 def test_classify_has_no_moduli_option():
-    # Witnesses are certified at the default moduli; only smooth takes --moduli.
+    # Witnesses are certified at DEFAULT_MODULI; no command takes --moduli.
     code, _ = run_cli("classify", "--n", "3", "--moduli", "10007")
     assert code == 2
 
@@ -497,3 +532,17 @@ def test_golden_classification_matches_fresh_run(n):
     doc, partial = _classification_document(n, list(admissible_primes(n)))
     assert not partial
     assert _dump(doc) == (GOLDEN_DIR / f"classify_n{n}.json").read_text()
+
+
+def test_readme_cli_examples_parse():
+    # Each command line in the README's CLI block names only options the
+    # parser has; a removed option fails here rather than in a user's shell.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [l for l in block.splitlines() if l.startswith("cubiclass ")]
+    assert len(lines) >= 7
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

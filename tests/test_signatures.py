@@ -10,7 +10,7 @@ from cubiclass.classify import fermat_order_classes, fermat_realizes
 from cubiclass.forms import lemma_base_feasible
 from cubiclass.signatures import (
     AffinePermAction,
-    BudgetExceededError,
+    IncompleteError,
     Signature,
     act,
     canonicalize,
@@ -349,7 +349,7 @@ def test_exhaustive_walk_is_exactly_the_lead_shaped_multisets():
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(IncompleteError):
         enumerate_orbits(11, 4, "exhaustive", budget=1000)
 
 
@@ -370,7 +370,7 @@ def test_exhaustive_budget_bounds_the_walk_not_the_raw_signatures():
     assert len(enumerate_orbits(3, 15, "exhaustive")) == burnside_orbit_count(3, 15)
     work = 32 * 17 * 16
     assert enumerate_orbits(3, 15, "exhaustive", budget=work)
-    with pytest.raises(BudgetExceededError, match=f"{work} lead-block"):
+    with pytest.raises(IncompleteError, match=f"{work} lead-block"):
         enumerate_orbits(3, 15, "exhaustive", budget=work - 1)
 
 

@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -162,6 +162,8 @@ def test_is_smooth_rejects_bad_modulus():
         is_smooth_mod_q(fermat(2), 3)
     with pytest.raises(ValueError):
         is_smooth_mod_q(fermat(2), 2)
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        is_smooth_mod_q(fermat(2), 10005)
 
 
 def test_is_smooth_rejects_zero_form():
@@ -289,8 +291,6 @@ def test_certificate_soundness_against_point_scan():
 def test_certify_over_Q():
     assert certify_smooth_over_Q(klein(3)) is not None
     assert certify_smooth_over_Q(fermat(4)) is not None
-    with pytest.raises(ValueError):
-        certify_smooth_over_Q(fermat(2), ())
 
 
 def test_certify_skips_moduli_dividing_every_coefficient():
@@ -298,9 +298,11 @@ def test_certify_skips_moduli_dividing_every_coefficient():
     # verdict, so the search moves on to the next modulus.
     F = CubicForm(3, {m: 10007 * c for m, c in fermat(3).terms.items()})
     assert certify_smooth_over_Q(F).modulus == 30011
-    assert certify_smooth_over_Q(F, (10007,)) is None
-    with pytest.raises(ValueError):
-        certify_smooth_over_Q(F, (10007, 3))
+    # Bad reduction at every default modulus: all are skipped (a modulus
+    # that is tried raises "form vanishes"), and there is no verdict.
+    scale = prod(DEFAULT_MODULI)
+    F = CubicForm(3, {m: scale * c for m, c in fermat(3).terms.items()})
+    assert certify_smooth_over_Q(F) is None
 
 
 def test_missing_variable_is_inconclusive_with_witness():
