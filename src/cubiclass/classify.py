@@ -39,10 +39,6 @@ class FamilyRecord:
     label: str | None = None
     rejected_reason: str | None = None
 
-    @property
-    def accepted(self) -> bool:
-        return self.rejected_reason is None
-
     def to_json(self) -> dict:
         doc = {
             "p": self.p,
@@ -74,42 +70,32 @@ def normalizer_dim(sig: Signature) -> int:
     return sum(c * c for c in counts.values())
 
 
-# Family labels for cross-referencing the published threefold/fourfold
-# tables; keyed by (p,) + family_key of the row.
-_THREEFOLD_LABELS = (
-    ("T_2^1", 2, (0, 0, 0, 0, 1), 0),
-    ("T_2^2", 2, (0, 0, 0, 1, 1), 0),
-    ("T_3^1", 3, (0, 0, 0, 0, 1), 0),
-    ("T_3^2", 3, (0, 0, 0, 1, 1), 0),
-    ("T_3^3", 3, (0, 0, 0, 1, 2), 0),
-    ("T_3^4", 3, (0, 0, 1, 1, 2), 0),
-    ("T_5^1", 5, (0, 1, 2, 3, 4), 0),
-    ("T_11^1", 11, (1, 3, 4, 5, 9), 0),
-)
-_FOURFOLD_LABELS = (
-    ("F_2^1", 2, (0, 0, 0, 0, 0, 1), 0),
-    ("F_2^2", 2, (0, 0, 0, 0, 1, 1), 0),
-    ("F_2^3", 2, (0, 0, 0, 1, 1, 1), 0),
-    ("F_3^1", 3, (0, 0, 0, 0, 0, 1), 0),
-    ("F_3^2", 3, (0, 0, 0, 0, 1, 1), 0),
-    ("F_3^3", 3, (0, 0, 0, 0, 1, 2), 0),
-    ("F_3^4", 3, (0, 0, 0, 1, 1, 1), 0),
-    ("F_3^5", 3, (0, 0, 0, 1, 1, 2), 0),
-    ("F_3^6", 3, (0, 0, 1, 1, 2, 2), 0),
-    ("F_3^7", 3, (0, 0, 1, 1, 2, 2), 1),
-    ("F_5^1", 5, (0, 0, 1, 2, 3, 4), 0),
-    ("F_5^2", 5, (1, 1, 2, 2, 3, 4), 0),
-    ("F_7^1", 7, (1, 2, 3, 4, 5, 6), 0),
-    ("F_11^1", 11, (0, 1, 3, 4, 5, 9), 0),
-)
-
-
-@lru_cache(maxsize=None)
-def _label_table(n: int) -> dict:
-    rows = {3: _THREEFOLD_LABELS, 4: _FOURFOLD_LABELS}.get(n, ())
-    return {
-        (p,) + family_key(Signature(p, vals), w): label for label, p, vals, w in rows
-    }
+# Family labels of the published threefold and fourfold tables, keyed by
+# (n, p) + family_key of the labelled row, so a record's key reads its label.
+_LABELS = {
+    (3, 2, 0, (0, 0, 0, 0, 1)): "T_2^1",
+    (3, 2, 0, (0, 0, 0, 1, 1)): "T_2^2",
+    (3, 3, 0, (0, 0, 0, 0, 1)): "T_3^1",
+    (3, 3, 0, (0, 0, 0, 1, 1)): "T_3^2",
+    (3, 3, 0, (0, 0, 0, 1, 2)): "T_3^3",
+    (3, 3, 0, (0, 0, 1, 1, 2)): "T_3^4",
+    (3, 5, 0, (0, 1, 2, 3, 4)): "T_5^1",
+    (3, 11, 0, (1, 3, 4, 5, 9)): "T_11^1",
+    (4, 2, 0, (0, 0, 0, 0, 0, 1)): "F_2^1",
+    (4, 2, 0, (0, 0, 0, 0, 1, 1)): "F_2^2",
+    (4, 2, 0, (0, 0, 0, 1, 1, 1)): "F_2^3",
+    (4, 3, 0, (0, 0, 0, 0, 0, 1)): "F_3^1",
+    (4, 3, 0, (0, 0, 0, 0, 1, 1)): "F_3^2",
+    (4, 3, 0, (0, 0, 0, 0, 1, 2)): "F_3^3",
+    (4, 3, 0, (0, 0, 0, 1, 1, 1)): "F_3^4",
+    (4, 3, 0, (0, 0, 0, 1, 1, 2)): "F_3^5",
+    (4, 3, 0, (0, 0, 1, 1, 2, 2)): "F_3^6",
+    (4, 3, 1, (0, 0, 1, 1, 2, 2)): "F_3^7",
+    (4, 5, 0, (0, 0, 1, 2, 3, 4)): "F_5^1",
+    (4, 5, 0, (1, 1, 2, 2, 3, 4)): "F_5^2",
+    (4, 7, 0, (1, 2, 3, 4, 5, 6)): "F_7^1",
+    (4, 11, 0, (0, 1, 3, 4, 5, 9)): "F_11^1",
+}
 
 
 def _process_class(class_sig: Signature):
@@ -117,13 +103,15 @@ def _process_class(class_sig: Signature):
 
     A weight is searched when the lemma filter accepts it (it is one of
     lemma_feasible_weights) and carries no coordinate-subspace obstruction,
-    which by that criterion is exactly when its general member is smooth.  A class with no searched weight is
-    rejected as lemma_base or coordinate_subspace, both proofs.  Searched
-    weights that describe the same family share a family_key, and each
-    distinct key becomes one record, whose sigma and weight are the key and
-    whose witness find_smooth_member builds.  Returns (records, rejected
-    record or None, names of the keys whose witness no default modulus
-    certified): that is no evidence about the family.
+    which by that criterion is exactly when its general member is smooth.
+    A class with no searched weight is rejected as lemma_base or
+    coordinate_subspace, both proofs.  Searched weights that describe the
+    same family share a family_key, and each distinct key becomes one
+    record, whose sigma and weight are the key and whose witness is the
+    member find_smooth_member certifies, written as a 0/1 vector aligned
+    with the eigenspace basis.  Returns (records, rejected record or None,
+    names of the keys whose witness no default modulus certified): that is
+    no evidence about the family.
     """
     p, n = class_sig.p, class_sig.n
     feasible = lemma_feasible_weights(class_sig)
@@ -151,7 +139,10 @@ def _process_class(class_sig: Signature):
                 f"class {class_sig.values}, family {values} at weight {weight}"
             )
             continue
-        basis = eigenspace_basis(rep, weight)
+        monomials, cert = result
+        members = set(monomials)
+        basis = eigenspace_basis(rep, weight).monomials
+        coeffs = tuple(int(m in members) for m in basis)
         dn = normalizer_dim(rep)
         records.append(
             FamilyRecord(
@@ -162,9 +153,9 @@ def _process_class(class_sig: Signature):
                 dim_E=len(basis),
                 dim_norm=dn,
                 D=len(basis) - dn,
-                basis=basis.monomials,
-                witness=result,
-                label=_label_table(n).get((p, weight, values)),
+                basis=basis,
+                witness=(coeffs, cert),
+                label=_LABELS.get((n, p, weight, values)),
             )
         )
     return records, None, missing

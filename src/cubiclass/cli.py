@@ -181,8 +181,6 @@ def cmd_smooth(args, out) -> int:
 
 
 def cmd_spectrum(args, out) -> int:
-    if args.klein not in (3, 5):
-        raise ValueError(f"--klein takes 3 or 5, not {args.klein}")
     spec = klein_tangent_spectrum(args.klein)
     doc = spec.to_json()
     if args.klein == 5:

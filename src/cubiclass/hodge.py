@@ -103,6 +103,6 @@ def klein_tangent_spectrum(n: int) -> SpectrumSet:
     invariant form, so no modulus enters the answer.
     """
     if n not in (3, 5):
-        raise ValueError("supported dimensions are 3 and 5")
+        raise ValueError(f"supported dimensions are 3 and 5, not {n}")
     p, sig = klein_signature(n)
     return jacobian_ring_character(klein(n), sig, (n - 1) // 2)

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .admissibility import ensure_prime
-from .forms import (
-    CubicForm,
-    eigenspace_basis,
-    invertible_member,
-    partials,
-)
+from .forms import CubicForm, invertible_member, partials
 from .signatures import Signature
 
 # Primes avoiding 2 and 3 (degree-3 differentiation constants must stay
@@ -311,12 +306,11 @@ def find_smooth_member(sig: Signature, a: int):
     over Q, or None.
 
     The member has coefficient 1 on the n + 2 monomials of
-    forms.invertible_member and 0 on the rest of the basis.  An eigenspace
-    without one is exactly one with a coordinate-subspace obstruction (the
-    lemma filter included): it has only singular members.  Returns
-    (coefficients, certificate), the coefficients aligned with
-    eigenspace_basis, or None when there is no invertible member or
-    certify_smooth_over_Q finds no modulus that certifies it.
+    forms.invertible_member and is certified from those alone.  An
+    eigenspace without one is exactly one with a coordinate-subspace
+    obstruction (the lemma filter included): it has only singular members.
+    Returns (monomials, certificate), or None when there is no invertible
+    member or certify_smooth_over_Q finds no modulus that certifies it.
 
     The member is a disjoint sum of Fermat cubes, chains
     x_0^2 x_1 + ... + x_{m-1}^2 x_m + x_m^3 and loops
@@ -331,10 +325,10 @@ def find_smooth_member(sig: Signature, a: int):
     10006, so that modulus certifies every invertible member in fewer than
     10006 variables; the later moduli guard only beyond that.
     """
-    support = invertible_member(sig, a)
-    if support is None:
+    monomials = invertible_member(sig, a)
+    if monomials is None:
         return None
-    basis = eigenspace_basis(sig, a).monomials
-    coeffs = tuple(int(m in support) for m in basis)
-    cert = certify_smooth_over_Q(CubicForm(sig.n, dict(zip(basis, coeffs))))
-    return None if cert is None else (coeffs, cert)
+    # sorted: the eigenspace basis order, which fixes the Groebner run
+    F = CubicForm(sig.n, dict.fromkeys(sorted(monomials), 1))
+    cert = certify_smooth_over_Q(F)
+    return None if cert is None else (monomials, cert)

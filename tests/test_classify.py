@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
+    _LABELS,
     FamilyRecord,
     _resolve_strategy,
     classify,
@@ -33,6 +35,7 @@ from cubiclass.signatures import (
     equivalent,
     family_key,
 )
+from cubiclass import smoothness
 from cubiclass.smoothness import DEFAULT_MODULI, find_smooth_member, is_smooth_mod_q
 from fermat_oracle import (
     FermatGroupElement,
@@ -232,6 +235,58 @@ def test_each_witness_costs_one_certification(monkeypatch):
             families += len(classify_with_audit(n, p)[0])
     assert families == 60
     assert moduli == [DEFAULT_MODULI[0]] * families
+
+
+def test_each_family_reads_its_eigenspace_once(monkeypatch):
+    # The witness is certified from its own n + 2 monomials; only the
+    # record, which aligns it with the basis, reads the eigenspace.
+    classify_mod = sys.modules["cubiclass.classify"]
+    forms = sys.modules["cubiclass.forms"]
+    assert not hasattr(smoothness, "eigenspace_basis")
+    real_basis, real_certify = forms.eigenspace_basis, smoothness.certify_smooth_over_Q
+    basis_calls, terms = [], []
+
+    def counting_basis(sig, a):
+        basis_calls.append((sig.values, a))
+        return real_basis(sig, a)
+
+    def counting_certify(F):
+        terms.append((F.n, len(F.terms)))
+        return real_certify(F)
+
+    monkeypatch.setattr(forms, "eigenspace_basis", counting_basis)
+    monkeypatch.setattr(classify_mod, "eigenspace_basis", counting_basis)
+    monkeypatch.setattr(smoothness, "certify_smooth_over_Q", counting_certify)
+    records = []
+    for n in range(2, 7):
+        for p in admissible_primes(n):
+            records += classify_with_audit(n, p)[0]
+    assert len(records) == 60
+    assert sorted(basis_calls) == sorted((r.sigma.values, r.weight) for r in records)
+    assert len(terms) == len(records)
+    assert all(k == n + 2 for n, k in terms)
+
+
+@pytest.mark.parametrize("n, p", [(20, 2), (20, 3), (30, 3)])
+def test_large_n_witnesses_are_n_plus_2_monomials(n, p):
+    records, _, _ = classify_with_audit(n, p)
+    assert records
+    for rec in records:
+        coeffs, cert = rec.witness
+        assert set(coeffs) <= {0, 1} and sum(coeffs) == n + 2, rec.sigma.values
+        F = CubicForm(n, dict(zip(rec.basis, coeffs)))
+        assert cert.modulus == DEFAULT_MODULI[0] == 10007
+        assert is_smooth_mod_q(F, 10007) == cert
+
+
+def test_labels_are_their_rows_family_keys():
+    # A label is looked up by a record's family key, so a row that is not
+    # its own family key could never be found, or would name another row.
+    assert len(_LABELS) == 22
+    assert {n for n, *_ in _LABELS} == {3, 4}
+    for n, p, weight, values in _LABELS:
+        assert len(values) == n + 2
+        assert family_key(Signature(p, values), weight) == (weight, values)
 
 
 def test_classify_all_keys():

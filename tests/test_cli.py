@@ -336,8 +336,9 @@ def test_spectrum_klein3():
 
 
 def test_spectrum_unsupported():
-    code, _ = run_cli("spectrum", "--klein", "4")
+    code, text = run_cli("spectrum", "--klein", "4")
     assert code == 2
+    assert text == "error: supported dimensions are 3 and 5, not 4\n"
 
 
 def test_no_command_usage():

@@ -337,15 +337,16 @@ def test_lemma_witness_examples():
 
 def test_find_smooth_member_trial_zero_is_invertible():
     # The witness is the invertible member x0^3 plus the loop
-    # x1^2 x3 + x3^2 x4 + x4^2 x2 + x2^2 x1, with 0 on the other two basis
+    # x1^2 x3 + x3^2 x4 + x4^2 x2 + x2^2 x1, five of the seven basis
     # monomials.
     sig = Signature(5, (0, 1, 2, 3, 4))
     basis = eigenspace_basis(sig, 0).monomials
-    coeffs, cert = find_smooth_member(sig, 0)
-    assert {m for m, c in zip(basis, coeffs) if c} == {
+    monomials, cert = find_smooth_member(sig, 0)
+    assert set(monomials) == {
         (0, 0, 0), (1, 1, 3), (3, 3, 4), (2, 4, 4), (1, 2, 2),
     }
-    assert sorted(coeffs) == [0, 0, 1, 1, 1, 1, 1]
+    assert len(monomials) == 5 and set(monomials) < set(basis)
+    assert len(basis) == 7
     assert cert.modulus == DEFAULT_MODULI[0]
 
 
@@ -368,10 +369,10 @@ def test_find_smooth_member_klein_chain():
     sorted_sig = Signature(p, sorted(sig.values))
     result = find_smooth_member(sorted_sig, 0)
     assert result is not None
-    coeffs, _ = result
-    assert coeffs == (1,) * 7
+    monomials, _ = result
     basis = eigenspace_basis(sorted_sig, 0)
-    member = CubicForm(5, dict(zip(basis.monomials, coeffs)))
+    assert sorted(monomials) == list(basis.monomials)
+    member = CubicForm(5, dict.fromkeys(monomials, 1))
     order = sorted(range(7), key=lambda i: sig.values[i])
     perm = [0] * 7
     for rank, idx in enumerate(order):
