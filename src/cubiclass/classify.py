@@ -18,9 +18,8 @@ from .forms import (
     eigenspace_basis,
     lemma_feasible_weights,
 )
-from .signatures import IncompleteError, Signature, _canonical_values
-from .signatures import enumerate_orbits, family_key
-from .smoothness import DEFAULT_MODULI, find_smooth_member
+from .signatures import Signature, _canonical_values, enumerate_orbits, family_key
+from .smoothness import find_smooth_member
 
 
 @dataclass
@@ -92,7 +91,6 @@ _LABELS = {
     (4, 3, 0, (0, 0, 1, 1, 2, 2)): "F_3^6",
     (4, 3, 1, (0, 0, 1, 1, 2, 2)): "F_3^7",
     (4, 5, 0, (0, 0, 1, 2, 3, 4)): "F_5^1",
-    (4, 5, 0, (1, 1, 2, 2, 3, 4)): "F_5^2",
     (4, 7, 0, (1, 2, 3, 4, 5, 6)): "F_7^1",
     (4, 11, 0, (0, 1, 3, 4, 5, 9)): "F_11^1",
 }
@@ -109,9 +107,7 @@ def _process_class(class_sig: Signature):
     same family share a family_key, and each distinct key becomes one
     record, whose sigma and weight are the key and whose witness is the
     member find_smooth_member certifies, written as a 0/1 vector aligned
-    with the eigenspace basis.  Returns (records, rejected record or None,
-    names of the keys whose witness no default modulus certified): that is
-    no evidence about the family.
+    with the eigenspace basis.  Returns (records, rejected record or None).
     """
     p, n = class_sig.p, class_sig.n
     feasible = lemma_feasible_weights(class_sig)
@@ -129,17 +125,11 @@ def _process_class(class_sig: Signature):
             D=None,
             rejected_reason="coordinate_subspace" if feasible else "lemma_base",
         )
-        return [], rejected, []
-    records, missing = [], []
+        return [], rejected
+    records = []
     for weight, values in sorted({family_key(class_sig, a) for a in searched}):
         rep = Signature(p, values)
-        result = find_smooth_member(rep, weight)
-        if result is None:
-            missing.append(
-                f"class {class_sig.values}, family {values} at weight {weight}"
-            )
-            continue
-        monomials, cert = result
+        monomials, cert = find_smooth_member(rep, weight)
         members = set(monomials)
         basis = eigenspace_basis(rep, weight).monomials
         coeffs = tuple(int(m in members) for m in basis)
@@ -158,7 +148,7 @@ def _process_class(class_sig: Signature):
                 label=_LABELS.get((n, p, weight, values)),
             )
         )
-    return records, None, missing
+    return records, None
 
 
 def _resolve_strategy(p: int, n: int) -> str:
@@ -172,32 +162,21 @@ def _resolve_strategy(p: int, n: int) -> str:
 
 
 def classify_with_audit(n: int, p: int):
-    """(accepted records, rejected classes, notes) for one prime.
-
-    Raises IncompleteError after every class is processed if any family
-    was left without a witness, naming each such family and carrying the
-    rows that were decided.
-    """
+    """(accepted records, rejected classes, notes) for one prime; raises
+    IncompleteError, deciding nothing, when the orbit walk is over its budget
+    or no default modulus certifies a family's witness."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not is_admissible(p, n):
         return [], [], [f"{p} not admissible in dimension {n}"]
-    accepted, rejected, missing = [], [], []
+    accepted, rejected = [], []
     for c in enumerate_orbits(p, n, _resolve_strategy(p, n)):
-        recs, rej, miss = _process_class(c)
+        recs, rej = _process_class(c)
         accepted.extend(recs)
-        missing.extend(miss)
         if rej is not None:
             rejected.append(rej)
     accepted.sort(key=lambda r: (r.sigma.values, r.weight))
     rejected.sort(key=lambda r: r.sigma.values)
-    if missing:
-        raise IncompleteError(
-            f"no witness certified at moduli {list(DEFAULT_MODULI)} for "
-            f"{'; '.join(missing)}",
-            accepted,
-            rejected,
-        )
     return accepted, rejected, []
 
 

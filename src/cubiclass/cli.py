@@ -100,7 +100,7 @@ def _classification_document(n: int, primes, seed: int = 0):
             acc, rej, why = classify_with_audit(n, p)
         except IncompleteError as exc:
             partial = True
-            acc, rej, why = exc.accepted, exc.rejected, [f"p={p}: incomplete: {exc}"]
+            acc, rej, why = [], [], [f"p={p}: incomplete: {exc}"]
         families.extend(r.to_json() for r in acc)
         rejected.extend(r.to_json() for r in rej)
         notes.extend(why)

@@ -16,13 +16,7 @@ from .admissibility import ensure_prime, mult_order
 class IncompleteError(RuntimeError):
     """An incomplete answer, for one of two causes: an exhaustive orbit walk
     over its enumeration budget, or a smooth family's witness that no
-    default modulus certifies.  The latter carries the rows that were
-    decided, as accepted and rejected; an exceeded budget carries none."""
-
-    def __init__(self, message, accepted=(), rejected=()):
-        super().__init__(message)
-        self.accepted = list(accepted)
-        self.rejected = list(rejected)
+    default modulus certifies.  Either way nothing is decided for the prime."""
 
 
 class Signature:
@@ -177,7 +171,7 @@ def scaling_canonical(sig: Signature) -> Signature:
     """Lex-least sorted vector over scalings only (no translation).
 
     Unlike canonicalize this preserves which eigenspace carries weight 0,
-    so it is the normal form used for accepted family records.  It is the
+    so it is the normal form used for classified family records.  It is the
     least lead-block member with u = 0: O(n+2) sorts, independent of p.
     """
     return Signature(sig.p, min(_lead_blocks(sig.p, sig.values, False)))

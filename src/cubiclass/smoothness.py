@@ -9,11 +9,11 @@ sound for smoothness over the rationals.
 
 import heapq
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from .admissibility import ensure_prime
 from .forms import CubicForm, invertible_member, partials
-from .signatures import Signature
+from .signatures import IncompleteError, Signature
 
 # Primes avoiding 2 and 3 (degree-3 differentiation constants must stay
 # units); the later entries guard against bad reduction of a single form.
@@ -279,12 +279,14 @@ def certify_smooth_over_Q(F: CubicForm):
     """First modulus of DEFAULT_MODULI that certifies F smooth, or None.
 
     A smooth reduction at one good prime forces the generic fiber to be
-    smooth; the moduli, each skipped when it divides every coefficient, only
-    step past bad reduction.  None proves nothing about singularity.
+    smooth.  F is first divided by the gcd g of its coefficients, V(F/g) =
+    V(F), so no modulus divides them all and the later moduli only step past
+    bad reduction.  None proves nothing about singularity.
     """
+    g = gcd(*F.terms.values())
+    if g > 1:
+        F = CubicForm(F.n, {m: c // g for m, c in F.terms.items()})
     for q in DEFAULT_MODULI:
-        if all(c % q == 0 for c in F.terms.values()):
-            continue
         cert = is_smooth_mod_q(F, q)
         if cert is not None:
             return cert
@@ -310,7 +312,7 @@ def find_smooth_member(sig: Signature, a: int):
     eigenspace without one is exactly one with a coordinate-subspace
     obstruction (the lemma filter included): it has only singular members.
     Returns (monomials, certificate), or None when there is no invertible
-    member or certify_smooth_over_Q finds no modulus that certifies it.
+    member; raises IncompleteError if no default modulus certifies it.
 
     The member is a disjoint sum of Fermat cubes, chains
     x_0^2 x_1 + ... + x_{m-1}^2 x_m + x_m^3 and loops
@@ -331,4 +333,7 @@ def find_smooth_member(sig: Signature, a: int):
     # sorted: the eigenspace basis order, which fixes the Groebner run
     F = CubicForm(sig.n, dict.fromkeys(sorted(monomials), 1))
     cert = certify_smooth_over_Q(F)
-    return None if cert is None else (monomials, cert)
+    if cert is None:
+        why = f"no witness certified at moduli {list(DEFAULT_MODULI)} for family"
+        raise IncompleteError(f"{why} {sig.values} at weight {a}")
+    return monomials, cert

@@ -206,19 +206,21 @@ def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
 
 
 def test_witness_search_running_out_is_not_a_rejection(refuse_witnesses):
-    # No modulus certifies T_2^1 or T_2^2; the run is incomplete rather
-    # than rejecting them.
-    refuse_witnesses(
-        (Signature(2, (0, 0, 0, 0, 1)), 0), (Signature(2, (0, 0, 0, 1, 1)), 0)
-    )
-    with pytest.raises(IncompleteError, match="no witness certified at moduli"):
+    # No modulus certifies T_2^2; the run is incomplete rather than
+    # rejecting it, and the error names the family and the moduli tried.
+    refuse_witnesses((Signature(2, (0, 0, 0, 1, 1)), 0))
+    with pytest.raises(IncompleteError) as info:
         classify_with_audit(3, 2)
+    assert str(info.value) == (
+        f"no witness certified at moduli {list(DEFAULT_MODULI)} for family "
+        "(0, 0, 0, 1, 1) at weight 0"
+    )
 
 
 def test_each_witness_costs_one_certification(monkeypatch):
     # The invertible member is smooth mod every q > 3 with (-2)^k != 1 for
     # each loop length k, so DEFAULT_MODULI[0] certifies it at once: one
-    # is_smooth_mod_q call per family, for all 60 golden families.
+    # is_smooth_mod_q call per family, for all 181 families of n = 2..10.
     import cubiclass.smoothness as smoothness
 
     real = smoothness.is_smooth_mod_q
@@ -230,10 +232,10 @@ def test_each_witness_costs_one_certification(monkeypatch):
 
     monkeypatch.setattr(smoothness, "is_smooth_mod_q", counting)
     families = 0
-    for n in range(2, 7):
+    for n in range(2, 11):
         for p in admissible_primes(n):
             families += len(classify_with_audit(n, p)[0])
-    assert families == 60
+    assert families == 181
     assert moduli == [DEFAULT_MODULI[0]] * families
 
 
@@ -282,7 +284,7 @@ def test_large_n_witnesses_are_n_plus_2_monomials(n, p):
 def test_labels_are_their_rows_family_keys():
     # A label is looked up by a record's family key, so a row that is not
     # its own family key could never be found, or would name another row.
-    assert len(_LABELS) == 22
+    assert len(_LABELS) == 21
     assert {n for n, *_ in _LABELS} == {3, 4}
     for n, p, weight, values in _LABELS:
         assert len(values) == n + 2

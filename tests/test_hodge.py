@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -16,7 +16,11 @@ from cubiclass.hodge import (
     klein_tangent_spectrum,
 )
 from cubiclass.signatures import Signature
-from cubiclass.smoothness import certify_smooth_over_Q, complete_intersection_dim
+from cubiclass.smoothness import (
+    DEFAULT_MODULI,
+    certify_smooth_over_Q,
+    complete_intersection_dim,
+)
 from rank_oracle import rank_character
 
 ORACLE_MODULI = (10007, 30011)
@@ -85,6 +89,15 @@ def test_klein_fivefold_degree_two():
     assert len(spec) == 28 - 7 == 21
     assert spec.exponents == multiset_difference_oracle(sig, 2)
     assert len(set(spec.exponents)) == 21
+
+
+def test_klein_fivefold_scaled_by_every_default_modulus():
+    # Every default modulus divides every coefficient, but the scaled form
+    # is the same smooth cubic: its character is the unscaled one.
+    p, sig = klein_signature(5)
+    scale = prod(DEFAULT_MODULI)
+    F = CubicForm(5, {m: scale * c for m, c in klein(5).terms.items()})
+    assert jacobian_ring_character(F, sig, 2) == jacobian_ring_character(klein(5), sig, 2)
 
 
 def test_two_modulus_agreement():

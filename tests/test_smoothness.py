@@ -294,15 +294,14 @@ def test_certify_over_Q():
 
 
 def test_certify_skips_moduli_dividing_every_coefficient():
-    # Every coefficient of F vanishes mod 10007: bad reduction there, not a
-    # verdict, so the search moves on to the next modulus.
-    F = CubicForm(3, {m: 10007 * c for m, c in fermat(3).terms.items()})
-    assert certify_smooth_over_Q(F).modulus == 30011
-    # Bad reduction at every default modulus: all are skipped (a modulus
-    # that is tried raises "form vanishes"), and there is no verdict.
-    scale = prod(DEFAULT_MODULI)
-    F = CubicForm(3, {m: scale * c for m, c in fermat(3).terms.items()})
-    assert certify_smooth_over_Q(F) is None
+    # A scalar multiple cuts out the same cubic, so a modulus dividing every
+    # coefficient is no bad reduction: the form is certified as F/gcd, at
+    # the modulus and with the certificate of the unscaled form.
+    expected = certify_smooth_over_Q(fermat(3))
+    assert expected.modulus == DEFAULT_MODULI[0]
+    for scale in (10007, -30011, 6, prod(DEFAULT_MODULI)):
+        F = CubicForm(3, {m: scale * c for m, c in fermat(3).terms.items()})
+        assert certify_smooth_over_Q(F) == expected, scale
 
 
 def test_missing_variable_is_inconclusive_with_witness():
@@ -390,9 +389,7 @@ def test_find_smooth_member_deterministic():
 
 def test_klein_bad_reduction_is_the_order_of_minus_two():
     # A loop of length k is singular mod q > 3 exactly when (-2)^k = 1 mod q,
-    # while a chain ending in a cube is smooth mod every such q; the order
-    # of -2 mod 10007 makes it certify every invertible member below 10006
-    # variables.
+    # while a chain ending in a cube is smooth mod every such q.
     for n in range(2, 6):
         chain = {(i, i, i + 1): 1 for i in range(n + 1)}
         chain[(n + 1,) * 3] = 1
@@ -403,7 +400,14 @@ def test_klein_bad_reduction_is_the_order_of_minus_two():
             loop_singular = is_smooth_mod_q(klein(n), q) is None
             assert loop_singular == (pow(-2, n + 2, q) == 1), (n, q)
             assert is_smooth_mod_q(chain, q) is not None, (n, q)
-    assert mult_order(-2, DEFAULT_MODULI[0]) == 10006
+
+
+def test_first_modulus_is_a_primitive_root_for_minus_two():
+    # The premise of find_smooth_member's proof: -2 generates the units mod
+    # DEFAULT_MODULI[0], so it certifies every invertible member in fewer
+    # than 10006 variables, and classify never runs out of moduli there.
+    q = DEFAULT_MODULI[0]
+    assert mult_order(-2, q) == q - 1
 
 
 def test_certificates_identical_across_runs():
