@@ -21,7 +21,6 @@ from .signatures import (
     canonicalize,
     enumerate_orbits,
     equivalent,
-    normalize_weight,
 )
 from .forms import (
     CubicForm,

@@ -9,6 +9,7 @@ and a witness certified smooth over the rationals.  A class with no such
 weight is reported with the reason that proves every member singular.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,10 +64,7 @@ class FamilyRecord:
 
 def normalizer_dim(sig: Signature) -> int:
     """Dimension of the GL normalizer of the cyclic group: sum of n_j^2."""
-    counts = {}
-    for v in sig.values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * c for c in counts.values())
+    return sum(c * c for c in Counter(sig.values).values())
 
 
 # Family labels of the published threefold and fourfold tables, keyed by
@@ -176,7 +174,6 @@ def classify_with_audit(n: int, p: int):
         if rej is not None:
             rejected.append(rej)
     accepted.sort(key=lambda r: (r.sigma.values, r.weight))
-    rejected.sort(key=lambda r: r.sigma.values)
     return accepted, rejected, []
 
 

@@ -72,11 +72,9 @@ class CubicForm:
 class EigenspaceBasis:
     """The monomials of a fixed weight under a diagonal automorphism."""
 
-    __slots__ = ("signature", "weight", "monomials")
+    __slots__ = ("monomials",)
 
-    def __init__(self, signature: Signature, weight: int, monomials):
-        self.signature = signature
-        self.weight = weight % signature.p
+    def __init__(self, monomials):
         self.monomials = tuple(monomials)
 
     def __len__(self):
@@ -84,16 +82,6 @@ class EigenspaceBasis:
 
     def __iter__(self):
         return iter(self.monomials)
-
-    def __repr__(self):
-        return (
-            f"EigenspaceBasis(sigma={self.signature.values}, "
-            f"weight={self.weight}, dim={len(self.monomials)})"
-        )
-
-
-def monomial_weight(m: Monomial, sig: Signature) -> int:
-    return sum(sig.values[i] for i in m) % sig.p
 
 
 def eigenspace_basis(sig: Signature, a: int) -> EigenspaceBasis:
@@ -106,7 +94,7 @@ def eigenspace_basis(sig: Signature, a: int) -> EigenspaceBasis:
         for m in combinations_with_replacement(range(len(vals)), 3)
         if (vals[m[0]] + vals[m[1]] + vals[m[2]]) % p == a
     ]
-    return EigenspaceBasis(sig, a, mons)
+    return EigenspaceBasis(mons)
 
 
 def lemma_base_feasible(sig: Signature, a: int):
@@ -240,7 +228,7 @@ def weight_of(F: CubicForm, sig: Signature):
     """Common eigenweight of all terms of F, or None when weights are mixed."""
     if len(sig.values) != F.n + 2:
         raise ValueError("signature length does not match form dimension")
-    weights = {monomial_weight(m, sig) for m in F.terms}
+    weights = {sum(sig.values[i] for i in m) % sig.p for m in F.terms}
     if len(weights) != 1:
         return None
     return weights.pop()
@@ -249,19 +237,15 @@ def weight_of(F: CubicForm, sig: Signature):
 def partials(F: CubicForm) -> list[dict]:
     """Exact integer partial derivatives, one quadratic form per variable.
 
-    Each quadratic is a sparse map from sorted index pairs (i, j) to an
-    integer coefficient.
+    The partial in x_v maps each sorted pair m minus one v to c * m.count(v).
+    That key determines m, so each key gets one term and no entry is zero.
     """
     out = [dict() for _ in range(F.n + 2)]
     for m, c in F.terms.items():
         for v in set(m):
             rest = list(m)
             rest.remove(v)
-            key = tuple(rest)
-            out[v][key] = out[v].get(key, 0) + c * m.count(v)
-    for q in out:
-        for key in [k for k, val in q.items() if val == 0]:
-            del q[key]
+            out[v][tuple(rest)] = c * m.count(v)
     return out
 
 

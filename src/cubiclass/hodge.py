@@ -36,9 +36,6 @@ class SpectrumSet:
     def __len__(self):
         return len(self.exponents)
 
-    def distinct(self) -> frozenset:
-        return frozenset(self.exponents)
-
     def to_json(self) -> dict:
         return {"p": self.p, "exponents": list(self.exponents)}
 
@@ -101,6 +98,10 @@ def klein_tangent_spectrum(n: int) -> SpectrumSet:
     jacobian_ring_character certifies the Klein form smooth over Q and reads
     the character off the Koszul series, which holds for every smooth
     invariant form, so no modulus enters the answer.
+
+    Only n = 3, 5: by Griffiths H^(n-q,q)_prim = (S/J)_(3q+1-n), and for odd
+    n >= 7, q = (n-3)/2 gives (S/J)_((n-7)/2) != 0 (h^(5,2) = 1 at n = 7), so
+    J(X) is not a ppav and (S/J)_((n-1)/2) is not its whole tangent space.
     """
     if n not in (3, 5):
         raise ValueError(f"supported dimensions are 3 and 5, not {n}")

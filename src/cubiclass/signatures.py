@@ -40,12 +40,6 @@ class Signature:
     def n(self) -> int:
         return len(self.values) - 2
 
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
     def __eq__(self, other):
         return (
             isinstance(other, Signature)
@@ -75,15 +69,6 @@ class AffinePermAction:
             raise ValueError("scaling part must be nonzero mod p")
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm is not a permutation")
-
-    def compose(self, other: "AffinePermAction") -> "AffinePermAction":
-        """The element acting as self after other."""
-        if self.p != other.p or len(self.perm) != len(other.perm):
-            raise ValueError("cannot compose actions over different groups")
-        perm = tuple(self.perm[other.perm[j]] for j in range(len(self.perm)))
-        return AffinePermAction(
-            self.p, self.a * other.a, self.a * other.b + self.b, perm
-        )
 
     def __repr__(self):
         return f"AffinePermAction(p={self.p}, a={self.a}, b={self.b}, perm={self.perm})"
@@ -177,20 +162,6 @@ def scaling_canonical(sig: Signature) -> Signature:
     return Signature(sig.p, min(_lead_blocks(sig.p, sig.values, False)))
 
 
-def normalize_weight(sig: Signature, a: int) -> Signature:
-    """Translate so the represented automorphism fixes its eigenform.
-
-    For a form of eigenweight a, adding b*1 with 3b = -a mod p yields the
-    representative of the same cyclic subgroup acting with weight 0.  Not
-    available for p = 3 where 3 is not invertible.
-    """
-    p = sig.p
-    if p == 3:
-        raise ValueError("weight normalization is impossible for p = 3")
-    b = (-a) * pow(3, -1, p) % p
-    return Signature(p, tuple((v + b) % p for v in sig.values))
-
-
 def family_key(sig: Signature, a: int) -> tuple:
     """Lex-least (weight, sorted sigma) over the orbit of the pair (sigma, a).
 
@@ -201,7 +172,7 @@ def family_key(sig: Signature, a: int) -> tuple:
     family exactly when they share an orbit.
     When 3 is a unit mod p, b = -l*a/3 brings every weight to 0, and the
     elements that keep weight 0 are those with 3b = 0, the scalings; so the
-    key is (0, scaling_canonical(normalize_weight(sigma, a))).  When p = 3,
+    key is (0, scaling_canonical(sigma + b)) for b = -a/3 mod p.  When p = 3,
     3b = 0 for every b.  Weight 0 is then kept by the whole group, so the
     key is (0, the canonical class values).  For a != 0 only l = a^-1 = a
     reaches weight 1, and the elements that keep it are the translations,
@@ -211,7 +182,8 @@ def family_key(sig: Signature, a: int) -> tuple:
     p = sig.p
     a %= p
     if p != 3:
-        return 0, scaling_canonical(normalize_weight(sig, a)).values
+        b = -a * pow(3, -1, p) % p
+        return 0, scaling_canonical(Signature(p, [v + b for v in sig.values])).values
     if a == 0:
         return 0, _canonical_values(p, sig.values)
     return 1, min(
@@ -219,24 +191,23 @@ def family_key(sig: Signature, a: int) -> tuple:
     )
 
 
-def _emit_classes(p: int, n: int, multisets) -> list[Signature]:
-    """Canonicalize sorted candidate multisets, deduplicate, drop the zero class.
+def _emit_classes(p: int, multisets) -> list[Signature]:
+    """Canonical classes of the sorted candidate multisets, in increasing order.
 
     handled holds the lead-block members of every orbit seen so far, so a
     multiset from _lead_shaped_multisets whose orbit was seen is skipped.
-    Other multisets miss handled and are deduplicated by classes.
+    Other multisets miss handled and are deduplicated by classes.  No walk
+    yields a constant vector (a lead-shaped multiset holds 0 and 1, a chain
+    multiset the ell >= 2 values of the coset of 1), so no class is zero.
     """
     handled = set()
     classes = set()
-    zero = (0,) * (n + 2)
     for vals in multisets:
         if vals in handled:
             continue
         orbit = set(_lead_blocks(p, vals))
         handled |= orbit
-        canon = min(orbit)
-        if canon != zero:
-            classes.add(canon)
+        classes.add(min(orbit))
     return [Signature(p, v) for v in sorted(classes)]
 
 
@@ -352,9 +323,9 @@ def enumerate_orbits(
             raise IncompleteError(
                 f"{work} lead-block candidates exceed budget {budget}; {hint}"
             )
-        return _emit_classes(p, n, _lead_shaped_multisets(p, n + 2))
+        return _emit_classes(p, _lead_shaped_multisets(p, n + 2))
     if strategy == "chain_pruned":
         if p <= 3:
             raise ValueError("chain_pruned requires p > 3")
-        return _emit_classes(p, n, _chain_multisets(p, n))
+        return _emit_classes(p, _chain_multisets(p, n))
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -72,14 +72,6 @@ class _Packed:
         self.varmax = self.guard - self.ones
         self.key = self.varmax.__xor__
 
-    def pack(self, e) -> int:
-        if any(x < 0 for x in e) or sum(e) >= self.CAP:
-            raise ValueError(f"monomial {e} is outside the packed degree range")
-        return sum(x << (16 * i) for i, x in enumerate(e)) + (sum(e) << self.top)
-
-    def unpack(self, m) -> tuple:
-        return tuple(m >> (16 * i) & 0x7FFF for i in range(self.nv))
-
     def lcm(self, a, b) -> int:
         ge = ((a | self.guard) - b) & self.guard  # guard set where a_i >= b_i
         take_a = ge - (ge >> 15)

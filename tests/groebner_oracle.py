@@ -73,6 +73,17 @@ class PolyModQ:
         return f"PolyModQ({' + '.join(bits)} mod {self.q})"
 
 
+def _pack(P: _Packed, e) -> int:
+    """Exponent vector e as a packed monomial of P's layout."""
+    if any(x < 0 for x in e) or sum(e) >= P.CAP:
+        raise ValueError(f"monomial {e} is outside the packed degree range")
+    return sum(x << (16 * i) for i, x in enumerate(e)) + (sum(e) << P.top)
+
+
+def _unpack(P: _Packed, m) -> tuple:
+    return tuple(m >> (16 * i) & 0x7FFF for i in range(P.nv))
+
+
 def _interreduce(basis: list, q: int, P: _Packed) -> list:
     """Minimal then fully tail-reduced basis; unique for the ideal and order."""
     kept = []
@@ -104,7 +115,7 @@ def groebner_basis(gens: list) -> list:
     if len(nv) != 1:
         raise ValueError("generators must share a variable count")
     P = _Packed(nv.pop())
-    packed = [{P.pack(e): c for e, c in g.terms.items()} for g in gens]
+    packed = [{_pack(P, e): c for e, c in g.terms.items()} for g in gens]
     raw, _ = _buchberger(packed, q, P)
     reduced = _interreduce(raw, q, P)
-    return [PolyModQ(q, {P.unpack(e): c for e, c in t.items()}) for _, t in reduced]
+    return [PolyModQ(q, {_unpack(P, e): c for e, c in t.items()}) for _, t in reduced]

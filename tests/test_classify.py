@@ -181,6 +181,16 @@ def test_golden_families_are_their_own_distinct_family_keys(n):
     assert len(keys) == len(doc["families"])
 
 
+def test_rejected_rows_come_sorted():
+    # The orbit walks emit classes in increasing order and each class gives
+    # at most one rejected row, so classify_with_audit needs no sort.
+    for n in range(2, 9):
+        for p in admissible_primes(n):
+            _, rejected, _ = classify_with_audit(n, p)
+            values = [r.sigma.values for r in rejected]
+            assert all(a < b for a, b in zip(values, values[1:])), (n, p)
+
+
 def test_fivefold_rejections_are_proofs():
     for p in admissible_primes(5):
         _, rejected, _ = classify_with_audit(5, p)

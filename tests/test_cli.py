@@ -510,6 +510,33 @@ def test_golden_classification_matches_fresh_run(n):
     assert _dump(doc) == (GOLDEN_DIR / f"classify_n{n}.json").read_text()
 
 
+def test_readme_library_example_runs():
+    # The README's Library block runs, and each value its comments show is
+    # what the public API returns.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```")[1]
+    assert block.startswith("python\n")
+    ns = {}
+    exec(block[len("python\n"):], ns)
+    shown = {}
+    for line in block.splitlines():
+        code, sep, comment = line.partition("#")
+        if sep:
+            shown[code.split("=", 1)[-1].strip()] = comment.strip()
+    assert shown == {
+        "admissible_primes(5)": "(2, 3, 5, 7, 11, 43)",
+        "certify_smooth_over_Q(klein(5))": "SmoothnessCertificate(modulus=10007, ...)",
+        "classify_all(3)": "{2: [...], 3: [...], 5: [...], 11: [...]}",
+        "klein_tangent_spectrum(5)": "21 exponents mod 43",
+    }
+    assert ns["admissible_primes"](5) == (2, 3, 5, 7, 11, 43)
+    assert ns["certify_smooth_over_Q"](ns["klein"](5)).modulus == 10007
+    assert list(ns["families"]) == [2, 3, 5, 11]
+    assert all(ns["families"].values())
+    spec = ns["klein_tangent_spectrum"](5)
+    assert (spec.p, len(spec.exponents)) == (43, 21)
+
+
 def test_readme_cli_examples_parse():
     # Each command line in the README's CLI block names only options the
     # parser has; a removed option fails here rather than in a user's shell.

@@ -16,7 +16,6 @@ from cubiclass.forms import (
     klein,
     klein_signature,
     lemma_base_feasible,
-    monomial_weight,
     partials,
     weight_of,
 )
@@ -352,6 +351,21 @@ def test_partials_klein():
         assert all(len(pair) == 2 for pair in q)
 
 
+def test_partials_have_one_nonzero_term_per_key():
+    # A key of the partial in x_v is m minus one v, which determines m, so
+    # no two terms of F meet on a key: every coefficient is c * m.count(v),
+    # never zero, and the keys number sum over m of |set(m)|.
+    rng = random.Random(13)
+    for n in range(2, 7):
+        monomials = list(combinations_with_replacement(range(n + 2), 3))
+        for _ in range(20):
+            chosen = rng.sample(monomials, rng.randrange(1, len(monomials) + 1))
+            terms = {m: rng.choice((-1, 1)) * rng.randrange(1, 10**6) for m in chosen}
+            qs = partials(CubicForm(n, terms))
+            assert all(c != 0 for q in qs for c in q.values())
+            assert sum(map(len, qs)) == sum(len(set(m)) for m in terms)
+
+
 def test_partial_eigenvector_law():
     # d/dx_i maps a weight-a eigenform to a weight (a - sigma_i) eigenvector.
     rng = random.Random(9)
@@ -415,5 +429,6 @@ def test_form_json_rejects_unsorted():
 
 
 def test_monomial_weight_helper():
+    # A one-term form has the weight of its monomial.
     sig = Signature(11, (1, 3, 4, 5, 9))
-    assert monomial_weight((0, 0, 4), sig) == (1 + 1 + 9) % 11
+    assert weight_of(CubicForm(3, {(0, 0, 4): 1}), sig) == (1 + 1 + 9) % 11

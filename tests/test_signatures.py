@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from cubiclass.admissibility import admissible_primes
-from cubiclass.classify import fermat_order_classes, fermat_realizes
+from cubiclass.classify import _resolve_strategy, fermat_order_classes, fermat_realizes
 from cubiclass.forms import lemma_base_feasible
 from cubiclass.signatures import (
     AffinePermAction,
@@ -17,7 +17,6 @@ from cubiclass.signatures import (
     enumerate_orbits,
     equivalent,
     family_key,
-    normalize_weight,
     scaling_canonical,
     _lead_shaped_count,
     _lead_shaped_multisets,
@@ -86,7 +85,11 @@ def test_act_is_group_action():
         sig = Signature(p, [rng.randrange(p) for _ in range(m)])
         g = random_action(rng, p, m)
         h = random_action(rng, p, m)
-        assert act(act(sig, g), h) == act(sig, h.compose(g))
+        # h after g: entry h.perm[g.perm[j]] is h.a*(g.a*sigma_j + g.b) + h.b
+        hg = AffinePermAction(
+            p, h.a * g.a, h.a * g.b + h.b, [h.perm[g.perm[j]] for j in range(m)]
+        )
+        assert act(act(sig, g), h) == act(sig, hg)
 
 
 def test_canonicalize_mod2_example():
@@ -193,18 +196,18 @@ def test_equivalent_modulus_mismatch():
 
 
 def test_normalize_weight_identity():
+    # family_key leaves a weight-0 pair at weight 0 and only scales sigma.
     sig = Signature(5, (0, 0, 0, 0, 0))
-    assert normalize_weight(sig, 0).values == sig.values
+    assert family_key(sig, 0) == (0, sig.values)
+    sig = Signature(11, (2, 6, 8, 10, 7))
+    assert family_key(sig, 0) == (0, scaling_canonical(sig).values)
 
 
 def test_normalize_weight_example():
+    # Weight 1 mod 5 moves to 0 by b = -1/3 = 3, so sigma + 3 = (4, 0, 1, 2, 3),
+    # whose least scaling is (0, 1, 2, 3, 4).
     sig = Signature(5, (1, 2, 3, 4, 0))
-    assert normalize_weight(sig, 1).values == (4, 0, 1, 2, 3)
-
-
-def test_normalize_weight_rejects_p3():
-    with pytest.raises(ValueError):
-        normalize_weight(Signature(3, (0, 1, 2, 0)), 1)
+    assert family_key(sig, 1) == (0, (0, 1, 2, 3, 4))
 
 
 def test_scaling_canonical_preserves_multiset_class():
@@ -406,6 +409,22 @@ def test_chain_pruned_subset_of_exhaustive():
             if any(lemma_base_feasible(s, a)[0] for a in range(p))
         }
         assert chain == full, (p, n)
+
+
+def test_walks_emit_increasing_nonconstant_classes():
+    # classify_with_audit keeps this order for its rejected rows, and no
+    # walk needs a filter for the zero class.
+    cases = {(683, 9, "chain_pruned"), (11, 7, "exhaustive"), (17, 5, "exhaustive")}
+    for n in range(2, 11):
+        for p in admissible_primes(n):
+            cases.add((p, n, _resolve_strategy(p, n)))
+            if p > 3:
+                cases.add((p, n, "chain_pruned"))
+    assert {s for _, _, s in cases} == {"exhaustive", "chain_pruned"}
+    for p, n, strategy in sorted(cases):
+        got = [s.values for s in enumerate_orbits(p, n, strategy)]
+        assert all(a < b for a, b in zip(got, got[1:])), (p, n, strategy)
+        assert all(len(set(v)) > 1 for v in got), (p, n, strategy)
 
 
 @pytest.mark.parametrize(
