@@ -11,7 +11,6 @@ from .admissibility import (
     is_admissible,
     is_prime,
     max_admissible_prime,
-    mult_order,
 )
 from .signatures import (
     AffinePermAction,

@@ -75,7 +75,7 @@ def _pollard_rho(m: int) -> int:
 def _factor(m: int) -> list[int]:
     """Distinct prime factors of m >= 1, increasing.
 
-    Inputs are p - 1 for a prime p and |(-2)^l - 1| for l <= n + 2.
+    Inputs are |(-2)^l - 1| for l <= n + 2.
     Divisors below _TRIAL_BOUND are tried first; a cofactor left is kept
     when is_prime passes it and split by Pollard's rho otherwise, in an
     expected number of steps about the square root of its least prime
@@ -102,38 +102,26 @@ def _factor(m: int) -> list[int]:
     return sorted(out)
 
 
-def mult_order(a: int, p: int) -> int:
-    """Smallest l >= 1 with a^l = 1 mod p.
-
-    Raises ValueError when a = 0 mod p (no order exists).  Computed by
-    starting from p - 1 and stripping prime factors that are not needed.
-    """
-    ensure_prime(p)
-    a %= p
-    if a == 0:
-        raise ValueError("a = 0 mod p has no multiplicative order")
-    order = p - 1
-    for f in _factor(p - 1):
-        while order % f == 0 and pow(a, order // f, p) == 1:
-            order //= f
-    return order
-
-
 def _check_dimension(n: int) -> int:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
     return n
 
 
-def is_admissible(p: int, n: int) -> bool:
-    """True iff p = 2 or (-2)^l = 1 mod p for some l in {1, ..., n+2}.
+def minus_two_order(p: int, n: int) -> int | None:
+    """The order of -2 mod the prime p when it is at most n + 2, else None.
 
     That is n + 2 modular powers whatever the size of p, where the order of
-    -2 would need the factors of p - 1.
+    -2 itself would need the factors of p - 1.
     """
+    return next((ell for ell in range(1, n + 3) if pow(-2, ell, p) == 1), None)
+
+
+def is_admissible(p: int, n: int) -> bool:
+    """True iff p = 2 or (-2)^l = 1 mod p for some l in {1, ..., n+2}."""
     _check_dimension(n)
     ensure_prime(p)
-    return p == 2 or any(pow(-2, ell, p) == 1 for ell in range(1, n + 3))
+    return p == 2 or minus_two_order(p, n) is not None
 
 
 @lru_cache(maxsize=None)

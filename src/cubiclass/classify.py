@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .admissibility import admissible_primes, ensure_prime, is_admissible, is_prime
+from .admissibility import admissible_primes, is_admissible, is_prime
 from .forms import (
     coordinate_subspace_obstruction,
     eigenspace_basis,
@@ -235,8 +235,7 @@ def fermat_realizes(n: int, p: int, values, weight: int) -> bool:
     Every Fermat symmetry fixes the form exactly (cube-root scalings fix the
     cubes), so only weight 0 can match.
     """
-    ensure_prime(p)
-    values = tuple(values)
+    values = Signature(p, values).values
     if len(values) != n + 2:
         raise ValueError(f"a signature in dimension {n} has {n + 2} entries")
     if weight % p != 0:

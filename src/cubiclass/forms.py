@@ -9,7 +9,7 @@ sigma_i + sigma_j + sigma_k mod p.
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from .admissibility import admissible_primes, mult_order
+from .admissibility import _check_dimension, admissible_primes, minus_two_order
 from .signatures import Signature
 
 Monomial = tuple  # (i, j, k) with i <= j <= k
@@ -33,9 +33,7 @@ class CubicForm:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
-        if type(n) is not int or n < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-        self.n = n
+        self.n = _check_dimension(n)
         self.terms = {}
         for m, c in dict(terms).items():
             if type(c) is not int:
@@ -217,7 +215,7 @@ def klein_signature(n: int) -> tuple[int, Signature]:
     signature.  Takes the largest admissible prime whose order of -2 is
     exactly n+2; raises LookupError when no admissible prime has full order.
     """
-    candidates = [p for p in admissible_primes(n) if p > 3 and mult_order(-2, p) == n + 2]
+    candidates = [p for p in admissible_primes(n) if p > 3 and minus_two_order(p, n) == n + 2]
     if not candidates:
         raise LookupError(f"no prime of full order n+2={n + 2} exists for n={n}")
     p = candidates[-1]

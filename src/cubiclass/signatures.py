@@ -10,7 +10,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .admissibility import ensure_prime, mult_order
+from .admissibility import _check_dimension, ensure_prime, minus_two_order
 
 
 class IncompleteError(RuntimeError):
@@ -267,11 +267,13 @@ def _chain_multisets(p: int, n: int):
     are filled from {0} and the chosen values with arbitrary multiplicity.
     Each coset has ell = ord(-2) values, so none fits when ell > n + 2, and
     a second one only when 2*ell <= n + 2: only then is F_p^* walked for
-    the other cosets, and otherwise the ell powers of -2 suffice.
+    the other cosets, and otherwise the ell powers of -2 suffice.  The
+    cosets are disjoint and k < slots // ell, so a union of k + 1 of them
+    has (k + 1)*ell <= slots values and always fits.
     """
     slots = n + 2
-    ell = mult_order(-2, p)
-    if ell > slots:
+    ell = minus_two_order(p, n)
+    if ell is None:
         return
 
     def coset(v):
@@ -290,8 +292,6 @@ def _chain_multisets(p: int, n: int):
             union = set(base)
             for c in combo:
                 union |= c
-            if len(union) > slots:
-                continue
             fillers = sorted(union | {0})
             fixed = sorted(union)
             for fill in combinations_with_replacement(fillers, slots - len(union)):
@@ -314,8 +314,7 @@ def enumerate_orbits(
     exhaustive enumeration cannot run.
     """
     ensure_prime(p)
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dimension(n)
     if strategy == "exhaustive":
         work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
         if work > budget:

@@ -1,4 +1,5 @@
-"""Dimension counts and variable relabelling that only the tests use."""
+"""Dimension counts, variable relabelling and multiplicative orders that
+only the tests use."""
 
 from math import comb
 
@@ -11,6 +12,16 @@ def s3_dimension(n: int) -> int:
     if n < 2:
         raise ValueError("dimension must be >= 2")
     return comb(n + 4, 3)
+
+
+def brute_order(a: int, p: int) -> int:
+    """Least l >= 1 with a^l = 1 mod p, by repeated multiplication."""
+    a %= p
+    x, l = a, 1
+    while x != 1:
+        x = x * a % p
+        l += 1
+    return l
 
 
 def family_dimension(sig, a: int) -> int:

@@ -8,8 +8,9 @@ from cubiclass.admissibility import (
     is_admissible,
     is_prime,
     max_admissible_prime,
-    mult_order,
+    minus_two_order,
 )
+from form_helpers import brute_order
 
 # Reference tables for n = 2..10 and the maximal prime for n = 11..20.
 ADMISSIBLE_TABLE = {
@@ -28,15 +29,6 @@ MAX_PRIME_TABLE = {
     15: 43691, 16: 43691,
     17: 174763, 18: 174763, 19: 174763, 20: 174763,
 }
-
-
-def brute_order(a, p):
-    a %= p
-    x, l = a, 1
-    while x != 1:
-        x = x * a % p
-        l += 1
-    return l
 
 
 def test_is_prime_basics():
@@ -89,30 +81,6 @@ def test_factor_splits_large_cofactors():
         admissible_primes(89)
 
 
-@pytest.mark.parametrize("a,p,expected", [(-2, 11, 5), (1, 7, 1), (-2, 43, 7)])
-def test_mult_order_examples(a, p, expected):
-    assert mult_order(a, p) == expected
-    assert brute_order(a, p) == expected
-
-
-def test_mult_order_agrees_with_scan():
-    for p in (5, 7, 11, 13, 17, 43, 683):
-        for a in range(1, min(p, 30)):
-            assert mult_order(a, p) == brute_order(a, p)
-
-
-def test_mult_order_rejects_zero():
-    with pytest.raises(ValueError):
-        mult_order(0, 7)
-    with pytest.raises(ValueError):
-        mult_order(14, 7)
-
-
-def test_mult_order_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        mult_order(2, 15)
-
-
 @pytest.mark.parametrize(
     "p,n,expected",
     [(5, 2, True), (7, 3, False), (2, 2, True), (43, 5, True), (13, 9, False)],
@@ -128,7 +96,7 @@ def test_is_admissible_rejects_small_dimension():
 
 def test_three_always_admissible():
     # (-2)^1 = 1 mod 3, so the order criterion covers p = 3 for every n.
-    assert mult_order(-2, 3) == 1
+    assert brute_order(-2, 3) == 1
     for n in range(2, 12):
         assert 3 in admissible_primes(n)
 
@@ -173,7 +141,7 @@ def test_order_criterion_and_bound_above_20():
         for p in primes:
             assert p < 2 ** (n + 1)
             if p != 2:
-                assert mult_order(-2, p) <= n + 2, (n, p)
+                assert brute_order(-2, p) <= n + 2, (n, p)
         assert previous <= set(primes)
         previous = set(primes)
     assert time.perf_counter() - t0 < 1.0
@@ -188,7 +156,7 @@ def test_order_criterion_tight():
     for n in range(2, 11):
         for p in admissible_primes(n):
             if p > 3:
-                assert mult_order(-2, p) <= n + 2
+                assert brute_order(-2, p) <= n + 2
 
 
 def test_is_admissible_agrees_with_order():
@@ -196,5 +164,23 @@ def test_is_admissible_agrees_with_order():
     # is the definition it must match.
     for p in filter(is_prime, range(2, 2000)):
         for n in range(2, 13):
-            expected = p == 2 or mult_order(-2, p) <= n + 2
+            expected = p == 2 or brute_order(-2, p) <= n + 2
             assert is_admissible(p, n) is expected, (p, n)
+
+
+def test_minus_two_order_is_the_order_up_to_n_plus_2():
+    for p in filter(is_prime, range(3, 2000)):
+        order = brute_order(-2, p)
+        for n in range(2, 13):
+            expected = order if order <= n + 2 else None
+            assert minus_two_order(p, n) == expected, (p, n)
+    assert minus_two_order(2, 5) is None
+
+
+def test_primes_first_admissible_at_n_have_order_n_plus_2():
+    # A prime that enters the table at n divides (-2)^(n+2) - 1 and no
+    # earlier (-2)^l - 1, so -2 has order exactly n + 2 there.
+    for n in range(21, 31):
+        for p in set(admissible_primes(n)) - set(admissible_primes(n - 1)):
+            assert minus_two_order(p, n) == n + 2, (n, p)
+            assert minus_two_order(p, n - 1) is None, (n, p)

@@ -384,6 +384,13 @@ def test_fermat_realizes_rejects_a_vector_of_the_wrong_length():
         fermat_realizes(3, 5, (0, 1, 2, 3), 0)
 
 
+@pytest.mark.parametrize("last", [1.5, 1.0, True])
+def test_fermat_realizes_refuses_non_integer_values(last):
+    # Signature's check: no TypeError from pow, no bool read as 1.
+    with pytest.raises(ValueError, match="signature values must be integers"):
+        fermat_realizes(3, 5, (0, 0, 0, 0, last), 0)
+
+
 def test_fermat_membership_on_records():
     records = classify(3, 11)
     assert fermat_membership(3, records[0]) is False

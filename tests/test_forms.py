@@ -22,7 +22,7 @@ from cubiclass.forms import (
 from cubiclass.classify import _resolve_strategy, classify
 from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
 from cubiclass.smoothness import DEFAULT_MODULI, is_smooth_mod_q
-from form_helpers import relabel, s3_dimension
+from form_helpers import brute_order, relabel, s3_dimension
 
 
 def test_s3_dimension():
@@ -333,6 +333,14 @@ def test_klein_signature_values(n, p, values):
     assert got_p == p
     assert got_sig.values == values
     assert weight_of(klein(n), got_sig) == 0
+
+
+def test_klein_signature_takes_the_largest_prime_of_full_order():
+    for n in range(2, 15):
+        full = [p for p in admissible_primes(n) if p > 3 and brute_order(-2, p) == n + 2]
+        p, sig = klein_signature(n)
+        assert p == max(full), n
+        assert sig.values == tuple(pow(-2, i, p) for i in range(n + 2))
 
 
 def test_weight_of_mixed():

@@ -7,7 +7,7 @@ import pytest
 
 from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import _resolve_strategy, fermat_order_classes, fermat_realizes
-from cubiclass.forms import lemma_base_feasible
+from cubiclass.forms import CubicForm, lemma_base_feasible
 from cubiclass.signatures import (
     AffinePermAction,
     IncompleteError,
@@ -18,6 +18,7 @@ from cubiclass.signatures import (
     equivalent,
     family_key,
     scaling_canonical,
+    _chain_multisets,
     _lead_shaped_count,
     _lead_shaped_multisets,
 )
@@ -390,16 +391,21 @@ def test_chain_pruned_rejects_small_p():
         enumerate_orbits(3, 3, "chain_pruned")
 
 
-def test_chain_pruned_subset_of_exhaustive():
-    # chain_pruned skips exactly the classes that fail the lemma at every
-    # weight, on every admissible p > 3 and n <= 7 whose exhaustive walk
-    # is at most 2e6 lead-block candidates.
-    cases = [
+def exhaustive_cases():
+    """Every admissible p > 3 and n <= 7 whose exhaustive walk is at most 2e6
+    lead-block candidates."""
+    return [
         (p, n)
         for n in range(2, 8)
         for p in admissible_primes(n)
         if p > 3 and _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1) <= 2 * 10**6
     ]
+
+
+def test_chain_pruned_subset_of_exhaustive():
+    # chain_pruned skips exactly the classes that fail the lemma at every
+    # weight on each of the exhaustive cases.
+    cases = exhaustive_cases()
     assert len(cases) == 16
     for p, n in cases:
         chain = {s.values for s in enumerate_orbits(p, n, "chain_pruned")}
@@ -409,6 +415,34 @@ def test_chain_pruned_subset_of_exhaustive():
             if any(lemma_base_feasible(s, a)[0] for a in range(p))
         }
         assert chain == full, (p, n)
+
+
+def test_chain_multisets_are_closed_unions_holding_one():
+    # Every chain multiset fits its n + 2 slots without a length check: it
+    # is sorted, holds 1, and its nonzero values are closed under x -> -2x.
+    # At (43, 12) two of the six cosets of <-2> fit, so the walk takes a
+    # second one.
+    for p, n in exhaustive_cases() + [(43, 12), (683, 9)]:
+        multisets = list(_chain_multisets(p, n))
+        assert multisets, (p, n)
+        for vals in multisets:
+            assert len(vals) == n + 2 and list(vals) == sorted(vals), (p, n, vals)
+            assert 1 in vals, (p, n, vals)
+            nonzero = set(vals) - {0}
+            assert {-2 * v % p for v in nonzero} == nonzero, (p, n, vals)
+
+
+@pytest.mark.parametrize("n", [2.5, "3", 3.0, True, 1])
+def test_enumerate_orbits_checks_dimension_like_cubic_form(n):
+    # One check for every entry point: floats and strings are refused with
+    # ValueError, not TypeError from range or <.
+    for call in (
+        lambda: enumerate_orbits(5, n),
+        lambda: enumerate_orbits(5, n, "chain_pruned"),
+        lambda: CubicForm(n, {}),
+    ):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            call()
 
 
 def test_walks_emit_increasing_nonconstant_classes():

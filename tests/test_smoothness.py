@@ -5,7 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from cubiclass.admissibility import is_prime, mult_order
+from cubiclass.admissibility import is_prime
 from cubiclass.forms import (
     CubicForm,
     eigenspace_basis,
@@ -24,7 +24,7 @@ from cubiclass.smoothness import (
     is_smooth_mod_q,
     singular_point_from_lemma_base,
 )
-from form_helpers import relabel
+from form_helpers import brute_order, relabel
 from groebner_oracle import PolyModQ, groebner_basis
 from rank_oracle import rank_mod_q
 
@@ -407,7 +407,7 @@ def test_first_modulus_is_a_primitive_root_for_minus_two():
     # DEFAULT_MODULI[0], so it certifies every invertible member in fewer
     # than 10006 variables, and classify never runs out of moduli there.
     q = DEFAULT_MODULI[0]
-    assert mult_order(-2, q) == q - 1
+    assert brute_order(-2, q) == q - 1
 
 
 def test_certificates_identical_across_runs():
