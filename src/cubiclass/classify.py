@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .admissibility import admissible_primes, is_admissible, is_prime
 from .forms import (
+    _check_weight,
     coordinate_subspace_obstruction,
     eigenspace_basis,
     lemma_feasible_weights,
@@ -238,7 +239,7 @@ def fermat_realizes(n: int, p: int, values, weight: int) -> bool:
     values = Signature(p, values).values
     if len(values) != n + 2:
         raise ValueError(f"a signature in dimension {n} has {n + 2} entries")
-    if weight % p != 0:
+    if _check_weight(weight) % p != 0:
         return False
     classes = fermat_order_classes(n)
     return _canonical_values(p, values) in classes.get(p, frozenset())

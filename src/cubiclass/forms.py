@@ -7,7 +7,6 @@ sigma_i + sigma_j + sigma_k mod p.
 """
 
 from collections import Counter
-from itertools import combinations_with_replacement
 
 from .admissibility import _check_dimension, admissible_primes, minus_two_order
 from .signatures import Signature
@@ -24,6 +23,13 @@ def _check_monomial(m, n: int) -> Monomial:
     ):
         raise ValueError(f"invalid monomial {m} for n={n}")
     return m
+
+
+def _check_weight(a) -> int:
+    """An eigenweight: an int and not a bool (floats are refused, not cast)."""
+    if type(a) is not int:
+        raise ValueError(f"weight must be an integer, got {a!r}")
+    return a
 
 
 class CubicForm:
@@ -83,15 +89,25 @@ class EigenspaceBasis:
 
 
 def eigenspace_basis(sig: Signature, a: int) -> EigenspaceBasis:
-    """All monomials x_i x_j x_k with sigma_i + sigma_j + sigma_k = a mod p."""
+    """All monomials x_i x_j x_k with sigma_i + sigma_j + sigma_k = a mod p,
+    i <= j <= k, in increasing order.
+
+    For each pair i <= j the k are the indices from j on of value
+    a - sigma_i - sigma_j, read in increasing order off a value -> indices
+    map; so the pairs are walked, not all C(n + 4, 3) triples.
+    """
     p = sig.p
-    a %= p
+    a = _check_weight(a) % p
     vals = sig.values
-    mons = [
-        m
-        for m in combinations_with_replacement(range(len(vals)), 3)
-        if (vals[m[0]] + vals[m[1]] + vals[m[2]]) % p == a
-    ]
+    where = {}
+    for k, v in enumerate(vals):
+        where.setdefault(v, []).append(k)
+    mons = []
+    for i, vi in enumerate(vals):
+        for j in range(i, len(vals)):
+            for k in where.get((a - vi - vals[j]) % p, ()):
+                if k >= j:
+                    mons.append((i, j, k))
     return EigenspaceBasis(mons)
 
 
@@ -103,7 +119,7 @@ def lemma_base_feasible(sig: Signature, a: int):
     (True, None) or (False, i) with i the first variable that fails.
     """
     p = sig.p
-    a %= p
+    a = _check_weight(a) % p
     present = set(sig.values)
     for i, v in enumerate(sig.values):
         if (a - 2 * v) % p not in present:
@@ -147,7 +163,7 @@ def invertible_member(sig: Signature, a: int):
     lemma_base_feasible fails.
     """
     p = sig.p
-    a %= p
+    a = _check_weight(a) % p
     vals = sig.values
     taken = set()
     out = []
@@ -189,7 +205,7 @@ def coordinate_subspace_obstruction(sig: Signature, a: int):
     Returns T_v for the least such v, or None.
     """
     p = sig.p
-    a %= p
+    a = _check_weight(a) % p
     mult = Counter(sig.values)
     for v in sorted(mult):
         if mult[(a - 2 * v) % p] < mult[v]:

@@ -54,84 +54,105 @@ class SingularWitness:
 
 
 class _Packed:
-    """Exponent vectors as one int: variable i in bits [16i, 16i + 15), a
-    clear guard bit 16i + 15, and the total degree above the last field.
+    """Exponent vectors as one int in w-bit fields: variable i in bits
+    [w*i, w*i + w - 1), a clear guard bit w*i + w - 1, and the total degree
+    above the last field, at bit top = w*nv.
 
-    Total degrees stay below 2**15, so products and shifts are one + or -,
-    lm | e exactly when e - lm sets no guard bit, and e ^ varmax is the
-    degrevlex key (degree, then complemented fields from the last variable).
+    While every exponent stays below CAP = 2**(w - 1), a product or a shift
+    is one + or -; lm | e exactly when e - lm sets no guard bit, since a
+    field with e_i < lm_i borrows through its own guard; and e ^ varmax is
+    the degrevlex key (degree, then complemented fields from the last
+    variable), the same order for every w.  lcm reads the degree of its
+    result as field nv - 1 of v * ones, whose field k sums the fields 0..k
+    of v; no field carries when that degree is below 2**w, which holds for
+    the lcm of two monomials of degree below CAP.
+
+    groebner_oracle packs with w = 16 and checks every degree against CAP;
+    is_smooth_mod_q takes the narrowest w its Jacobian run allows.
     """
 
-    CAP = 1 << 15
-
-    def __init__(self, nv: int):
+    def __init__(self, nv: int, w: int):
         self.nv = nv
-        self.top = 16 * nv
-        self.ones = sum(1 << (16 * i) for i in range(nv))
-        self.guard = self.ones << 15
+        self.w = w
+        self.top = w * nv
+        self.CAP = 1 << (w - 1)
+        self.ones = sum(1 << (w * i) for i in range(nv))
+        self.guard = self.ones << (w - 1)
         self.varmax = self.guard - self.ones
         self.key = self.varmax.__xor__
 
     def lcm(self, a, b) -> int:
+        w = self.w
         ge = ((a | self.guard) - b) & self.guard  # guard set where a_i >= b_i
-        take_a = ge - (ge >> 15)
+        take_a = ge - (ge >> (w - 1))
         v = (a & take_a) | (b & (self.varmax ^ take_a))
-        # field nv - 1 of v * ones sums every field: the degree, below 2**16
-        return v + ((v * self.ones >> (self.top - 16) & 0xFFFF) << self.top)
+        return v + ((v * self.ones >> (self.top - w) & ((1 << w) - 1)) << self.top)
 
     def pure_var(self, m):
         d, v = m >> self.top, m & self.varmax
-        i = (v.bit_length() - 1) // 16
-        return i if d and v == d << (16 * i) else None
+        i = (v.bit_length() - 1) // self.w
+        return i if d and v == d << (self.w * i) else None
 
 
-def _normal_form(terms: dict, basis: list, q: int, P: _Packed) -> dict:
+def _normal_form(terms: dict, basis: list, q: int, P: _Packed, memo: dict) -> dict:
     """Full remainder of terms modulo a list of (lm, tail) pairs, each the
-    monic polynomial lm + tail.
+    monic polynomial lm + tail; each term is reduced by the first basis
+    element whose leading monomial divides it.
 
     Terms are taken in decreasing order and a reduction only adds smaller
     ones, so a popped term never returns; cancelled terms stay as zeros.
+    Coefficients may come in and pile up unreduced: each is taken mod q
+    when its term pops, so the remainder is that of the reduced input.
+
+    memo maps a monomial to the index of the first element dividing it, or
+    to ~k when none of the first k does.  Calls may share one memo while
+    their basis only grows by appending: the first k elements never
+    change, so an index stays the first divisor and ~k leaves only
+    basis[k:] to scan.  Any other call passes a fresh dict.
     """
     guard, varmax = P.guard, P.varmax
+    size = len(basis)
     work = dict(terms)
     heap = [-(e ^ varmax) for e in work]
     heapq.heapify(heap)
     rem = {}
     while heap:
         e = -heapq.heappop(heap) ^ varmax
-        c = work[e]
+        c = work[e] % q
         if not c:
             continue
-        for lm, tail in basis:
-            shift = e - lm
-            if not shift & guard:
-                break
-        else:
-            rem[e] = c
-            continue
+        k = memo.get(e, -1)
+        if k < 0:
+            for k in range(~k, size):
+                if not (e - basis[k][0]) & guard:
+                    break
+            else:
+                memo[e] = ~size
+                rem[e] = c
+                continue
+            memo[e] = k
+        lm, tail = basis[k]
+        shift = e - lm
         for me, mc in tail.items():
             t = me + shift
             prev = work.get(t)
             if prev is None:
-                work[t] = -c * mc % q
+                work[t] = -c * mc
                 heapq.heappush(heap, -(t ^ varmax))
             else:
-                work[t] = (prev - c * mc) % q
+                work[t] = prev - c * mc
     return rem
 
 
-def _spoly(lmf, f, lmg, g, q, P: _Packed) -> dict:
-    """S-polynomial of monic lmf + f and lmg + g, given by their tails."""
-    lcm = P.lcm(lmf, lmg)
+def _spoly(lcm, lmf, f, lmg, g) -> dict:
+    """S-polynomial of monic lmf + f and lmg + g, given by their tails and
+    the lcm of lmf and lmg; coefficients are left unreduced."""
     sf, sg = lcm - lmf, lcm - lmg
-    out = {}
-    for e, c in f.items():
-        t = e + sf
-        out[t] = (out.get(t, 0) + c) % q
+    out = {e + sf: c for e, c in f.items()}
     for e, c in g.items():
         t = e + sg
-        out[t] = (out.get(t, 0) - c) % q
-    return {e: c for e, c in out.items() if c}
+        out[t] = out.get(t, 0) - c
+    return out
 
 
 def complete_intersection_dim(nv: int, d: int) -> int:
@@ -150,6 +171,23 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
     proven in is_smooth_mod_q: a pair whose degree the leading monomials
     already fill is dropped, a completed degree short of the bound ends the
     run, and so does a pure-power leading monomial for every variable.
+    Without it, a pair of degree CAP or more raises ValueError.
+
+    Three shortcuts leave the run as the plain loop does it: the same pairs
+    reduced in the same order, each term by the same basis element.
+    - Pairs pop in the order of (key, i, j), a total order, so when they
+      are queued does not matter.  The generators' pairs are queued only
+      once their pure-power check fails, so a run that every generator
+      already certifies queues none.
+    - With jacobian, no pair above degree nv + 1 is queued.  The plain loop
+      never reduces one: is_smooth_mod_q shows that the first such pair to
+      pop ends the run, and a run ended by the empty queue returns the
+      same (basis, pure).  The chain criterion, for a popped pair of lcm L,
+      asks only whether pairs whose lcm divides L are pending; those have
+      degree at most that of L, so they are queued as before.
+    - One memo of first divisors serves every _normal_form of the run,
+      valid as the basis only grows by appending, and S-polynomials are
+      reduced mod q only as their terms pop (see _normal_form).
 
     Returns (basis, pure) with basis a list of (lm, tail) pairs as in
     _normal_form and pure the minimal pure-power exponent per variable.
@@ -158,34 +196,45 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
     pure = {}
     pairheap = []
     pending = set()
+    memo = {}
+    maxdeg = P.nv + 1 if jacobian else P.CAP - 1
 
-    def push(h):
+    def add(h):
         lm = max(h, key=P.key)
-        idx = len(basis)
         inv = pow(h[lm], -1, q)
         basis.append((lm, {e: c * inv % q for e, c in h.items() if e != lm}))
         v = P.pure_var(lm)
         if v is not None and (v not in pure or lm >> P.top < pure[v]):
             pure[v] = lm >> P.top
-        for i in range(idx):
-            heapq.heappush(pairheap, (P.key(P.lcm(basis[i][0], lm)), i, idx))
-            pending.add((i, idx))
+
+    def queue_pairs(j):
+        lmj = basis[j][0]
+        for i in range(j):
+            key = P.key(P.lcm(basis[i][0], lmj))
+            if key >> P.top > maxdeg:
+                if not jacobian:
+                    raise ValueError("Groebner basis leaves the packed degree range")
+                continue
+            heapq.heappush(pairheap, (key, i, j))
+            pending.add((i, j))
 
     for g in gens:
-        h = _normal_form(g, basis, q, P)
+        h = _normal_form(g, basis, q, P, memo)
         if h:
-            push(h)
+            add(h)
+    if jacobian and len(pure) == P.nv:
+        return basis, pure
+    for j in range(1, len(basis)):
+        queue_pairs(j)
     # with jacobian: the degree-deg monomials some leading monomial divides
     deg, lead = 2, {lm for lm, _ in basis}
-    steps = [(1 << 16 * i) + (1 << P.top) for i in range(P.nv)]
+    steps = [(1 << P.w * i) + (1 << P.top) for i in range(P.nv)]
 
     while pairheap:
         if jacobian and len(pure) == P.nv:
             break
         key, i, j = heapq.heappop(pairheap)
         pending.discard((i, j))
-        if key >> P.top >= P.CAP:
-            raise ValueError("Groebner basis leaves the packed degree range")
         if jacobian:
             while deg < key >> P.top:
                 if len(lead) < complete_intersection_dim(P.nv, deg):
@@ -210,9 +259,10 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
                 break
         if skip:
             continue
-        h = _normal_form(_spoly(lmi, fi, lmj, fj, q, P), basis, q, P)
+        h = _normal_form(_spoly(lcm, lmi, fi, lmj, fj), basis, q, P, memo)
         if h:
-            push(h)
+            add(h)
+            queue_pairs(len(basis) - 1)
             lead.add(basis[-1][0])
 
     return basis, pure
@@ -220,7 +270,7 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
 
 def _partials_mod_q(F: CubicForm, q: int, P: _Packed) -> list:
     return [
-        {(1 << 16 * i) + (1 << 16 * j) + (2 << P.top): c % q
+        {(1 << P.w * i) + (1 << P.w * j) + (2 << P.top): c % q
          for (i, j), c in dq.items() if c % q}
         for dq in partials(F)
     ]
@@ -248,12 +298,21 @@ def is_smooth_mod_q(F: CubicForm, q: int):
     singular.  As h(d) counts every monomial for d >= nv + 1, a smooth F
     has all its pure powers by degree nv + 1 and a singular one stops at
     the first pair above it: the verdict is exact in both directions.
+
+    So the run reduces no pair above degree nv + 1, and _buchberger queues
+    none.  The partials are homogeneous and so is every S-polynomial and
+    remainder, so no monomial the run reduces or keeps exceeds degree
+    nv + 1, and the lcm of two of its leading monomials has degree at most
+    2*nv + 2.  Monomials are packed in w-bit fields with
+    w = (2*nv + 2).bit_length(): then nv + 1 < 2**(w - 1) = CAP and
+    2*nv + 2 < 2**w, all _Packed needs.  Up to n = 4 a monomial fits in
+    one 30-bit digit of a Python int.
     """
     ensure_prime(q)
     if q in (2, 3):
         raise ValueError("modulus must avoid 2 and 3")
     nv = F.n + 2
-    P = _Packed(nv)
+    P = _Packed(nv, (2 * nv + 2).bit_length())
     gens = _partials_mod_q(F, q, P)
     if not any(gens):
         raise ValueError(f"form vanishes mod {q}")

@@ -1,6 +1,7 @@
 """Dimension counts, variable relabelling and multiplicative orders that
 only the tests use."""
 
+from itertools import combinations_with_replacement
 from math import comb
 
 from cubiclass.classify import normalizer_dim
@@ -35,3 +36,13 @@ def relabel(F: CubicForm, perm) -> CubicForm:
     for m, c in F.terms.items():
         out[tuple(sorted(perm[i] for i in m))] = c
     return CubicForm(F.n, out)
+
+
+def eigenspace_scan(sig, a: int) -> tuple:
+    """The weight-a monomials by testing every index triple i <= j <= k."""
+    p, vals = sig.p, sig.values
+    return tuple(
+        m
+        for m in combinations_with_replacement(range(len(vals)), 3)
+        if (vals[m[0]] + vals[m[1]] + vals[m[2]] - a) % p == 0
+    )

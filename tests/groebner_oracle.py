@@ -77,11 +77,11 @@ def _pack(P: _Packed, e) -> int:
     """Exponent vector e as a packed monomial of P's layout."""
     if any(x < 0 for x in e) or sum(e) >= P.CAP:
         raise ValueError(f"monomial {e} is outside the packed degree range")
-    return sum(x << (16 * i) for i, x in enumerate(e)) + (sum(e) << P.top)
+    return sum(x << (P.w * i) for i, x in enumerate(e)) + (sum(e) << P.top)
 
 
 def _unpack(P: _Packed, m) -> tuple:
-    return tuple(m >> (16 * i) & 0x7FFF for i in range(P.nv))
+    return tuple(m >> (P.w * i) & (P.CAP - 1) for i in range(P.nv))
 
 
 def _interreduce(basis: list, q: int, P: _Packed) -> list:
@@ -93,7 +93,7 @@ def _interreduce(basis: list, q: int, P: _Packed) -> list:
     out = []
     for idx, (lm, tail) in enumerate(kept):
         others = [kept[i] for i in range(len(kept)) if i != idx]
-        red = _normal_form(tail, others, q, P)
+        red = _normal_form(tail, others, q, P, {})
         red[lm] = 1
         out.append((lm, red))
     return out
@@ -102,7 +102,8 @@ def _interreduce(basis: list, q: int, P: _Packed) -> list:
 def groebner_basis(gens: list) -> list:
     """Reduced degrevlex Groebner basis of PolyModQ over a common modulus.
 
-    Raises ValueError once any monomial reaches total degree 2**15.
+    Monomials are packed in 16-bit fields, so this raises ValueError once
+    any monomial or S-pair reaches total degree 2**15.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -114,7 +115,7 @@ def groebner_basis(gens: list) -> list:
     nv = {g.nvars for g in gens}
     if len(nv) != 1:
         raise ValueError("generators must share a variable count")
-    P = _Packed(nv.pop())
+    P = _Packed(nv.pop(), 16)
     packed = [{_pack(P, e): c for e, c in g.terms.items()} for g in gens]
     raw, _ = _buchberger(packed, q, P)
     reduced = _interreduce(raw, q, P)

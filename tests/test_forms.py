@@ -19,10 +19,10 @@ from cubiclass.forms import (
     partials,
     weight_of,
 )
-from cubiclass.classify import _resolve_strategy, classify
+from cubiclass.classify import _resolve_strategy, classify, fermat_realizes
 from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
 from cubiclass.smoothness import DEFAULT_MODULI, is_smooth_mod_q
-from form_helpers import brute_order, relabel, s3_dimension
+from form_helpers import brute_order, eigenspace_scan, relabel, s3_dimension
 
 
 def test_s3_dimension():
@@ -63,6 +63,38 @@ def test_eigenspace_partition():
         sig = Signature(p, [rng.randrange(p) for _ in range(n + 2)])
         total = sum(len(eigenspace_basis(sig, a)) for a in range(p))
         assert total == s3_dimension(n)
+
+
+def test_eigenspace_basis_matches_the_triple_scan():
+    # Same monomials in the same order, at weights outside range(p) too.
+    rng = random.Random(17)
+    cases = [(3, 60), (43, 20)] + [
+        (rng.choice((2, 3, 5, 7, 11, 13, 43, 683)), rng.randrange(2, 9)) for _ in range(3000)
+    ]
+    for p, n in cases:
+        sig = Signature(p, [rng.randrange(p) for _ in range(n + 2)])
+        a = rng.randrange(-p, 2 * p)
+        assert eigenspace_basis(sig, a).monomials == eigenspace_scan(sig, a), (sig, a)
+
+
+WEIGHT_TAKERS = {
+    "eigenspace_basis": lambda a: eigenspace_basis(Signature(5, (0, 1, 2, 3, 4)), a),
+    "lemma_base_feasible": lambda a: lemma_base_feasible(Signature(5, (0, 1, 2, 3, 4)), a),
+    "invertible_member": lambda a: invertible_member(Signature(5, (0, 1, 2, 3, 4)), a),
+    "coordinate_subspace_obstruction":
+        lambda a: coordinate_subspace_obstruction(Signature(5, (0, 1, 2, 3, 4)), a),
+    "fermat_realizes": lambda a: fermat_realizes(3, 5, (0, 1, 2, 3, 4), a),
+}
+
+
+@pytest.mark.parametrize("weight", [0.0, 5.0, False, True], ids=repr)
+@pytest.mark.parametrize("name", sorted(WEIGHT_TAKERS))
+def test_weights_must_be_integers(name, weight):
+    # A float is not truncated and a bool is not read as 0 or 1; the int
+    # weights 0 and 5 are accepted.
+    with pytest.raises(ValueError, match="weight must be an integer"):
+        WEIGHT_TAKERS[name](weight)
+    WEIGHT_TAKERS[name](int(weight))
 
 
 def test_eigenspace_weight_covariance():

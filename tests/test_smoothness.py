@@ -1,4 +1,6 @@
+import hashlib
 import json
+import operator
 import random
 from itertools import combinations_with_replacement, product
 from math import comb, prod
@@ -25,7 +27,7 @@ from cubiclass.smoothness import (
     singular_point_from_lemma_base,
 )
 from form_helpers import brute_order, relabel
-from groebner_oracle import PolyModQ, groebner_basis
+from groebner_oracle import PolyModQ, _pack, _unpack, groebner_basis
 from rank_oracle import rank_mod_q
 
 
@@ -421,3 +423,177 @@ def test_certificate_stability_first_modulus():
         for F in (fermat(n), klein(n)):
             cert = certify_smooth_over_Q(F)
             assert cert.modulus == DEFAULT_MODULI[0]
+
+
+# Certificates of seeded forms, pinned from the engine that packed every
+# exponent in a 16-bit field; the narrow packing must reproduce each one.
+# Each entry is (pure_powers, basis_size), or None for no certificate:
+# per n for both dense forms at every modulus, per (n, index) for the sparse
+# forms and per (kind, n) for Fermat and Klein at DEFAULT_MODULI[0].
+DENSE_CERTIFICATES = {
+    2: ((2, 2, 3, 5), 12),
+    3: ((2, 2, 3, 3, 6), 21),
+    4: ((2, 2, 2, 3, 4, 7), 39),
+    5: ((2, 2, 2, 3, 3, 4, 8), 67),
+}
+SPARSE_CERTIFICATES = {
+    (2, 0): ((2, 2, 3, 5), 12),
+    (2, 1): ((2, 2, 3, 5), 12),
+    (2, 2): ((2, 2, 3, 5), 12),
+    (3, 0): ((2, 2, 3, 3, 6), 21),
+    (3, 1): ((2, 2, 3, 3, 6), 21),
+    (3, 2): ((2, 2, 2, 3, 6), 20),
+    (4, 0): ((2, 3, 2, 2, 4, 7), 36),
+    (4, 1): None,
+    (4, 2): None,
+    (5, 0): ((2, 2, 2, 3, 3, 4, 8), 66),
+    (5, 1): None,
+    (5, 2): None,
+}
+SPECIAL_CERTIFICATES = {
+    ("fermat", 2): ((2, 2, 2, 2), 4),
+    ("klein", 2): ((2, 2, 2, 4), 8),
+    ("fermat", 3): ((2, 2, 2, 2, 2), 5),
+    ("klein", 3): ((2, 2, 2, 2, 4), 8),
+    ("fermat", 4): ((2, 2, 2, 2, 2, 2), 6),
+    ("klein", 4): ((2, 2, 2, 2, 2, 4), 9),
+    ("fermat", 5): ((2, 2, 2, 2, 2, 2, 2), 7),
+    ("klein", 5): ((2, 2, 2, 2, 2, 2, 4), 10),
+}
+# Eigenspaces all of whose members are singular although every variable
+# reaches degree 2: (p, sigma, weight).
+SINGULAR_EIGENSPACES = (
+    (5, (1, 1, 2, 2, 3, 4), 0),
+    (3, (0, 0, 1, 1, 2), 1),
+)
+# First 16 hex digits of the sha256 of each whole Jacobian basis at 10007,
+# in order, with its leading monomials, tails and coefficients.
+DENSE_BASIS_DIGESTS = {
+    (2, 0): "be876ab772c9bb2a", (2, 1): "0441c8edc0ac37b9",
+    (3, 0): "37037c6b306cdfa4", (3, 1): "f502a3df288fe4dd",
+    (4, 0): "1c11976e65fa9963", (4, 1): "d22127aad1a927ae",
+    (5, 0): "9ba7d4ecc29ad954", (5, 1): "e66f31308da29ab9",
+}
+SPARSE_BASIS_DIGESTS = {
+    (2, 0): "f8bc1a4e827dc6bb", (2, 1): "9a2f7293a30645a9", (2, 2): "27516078f347443f",
+    (3, 0): "18225ec3e3013f9f", (3, 1): "b8f432be79f15c76", (3, 2): "78f8218fef9310b8",
+    (4, 0): "79752d364c7699da", (4, 1): "530a90ae42e44b67", (4, 2): "06b5dfc735105e7b",
+    (5, 0): "f796abcd365e2be6", (5, 1): "e50225b0ad3be9e4", (5, 2): "ed37aba6ae7961d4",
+}
+
+
+def seeded_forms():
+    """(kind, n, index, form): two dense forms for each n = 2..5 from seed
+    2024, then three with 3(n + 2) random monomials for each n from seed 7."""
+    rng = random.Random(2024)
+    for n in (2, 3, 4, 5):
+        mons = list(combinations_with_replacement(range(n + 2), 3))
+        for k in range(2):
+            yield "dense", n, k, CubicForm(n, {m: rng.randint(1, 10**6) for m in mons})
+    rng = random.Random(7)
+    for n in (2, 3, 4, 5):
+        mons = list(combinations_with_replacement(range(n + 2), 3))
+        for k in range(3):
+            picked = rng.sample(mons, 3 * (n + 2))
+            yield "sparse", n, k, CubicForm(n, {m: rng.randint(1, 10**6) for m in picked})
+
+
+def test_certificates_match_the_pinned_table():
+    for kind, n, k, F in seeded_forms():
+        if kind == "dense":
+            for q in DEFAULT_MODULI:
+                powers, size = DENSE_CERTIFICATES[n]
+                assert is_smooth_mod_q(F, q) == smoothness.SmoothnessCertificate(
+                    q, powers, size), (n, k, q)
+        else:
+            expected = SPARSE_CERTIFICATES[n, k]
+            cert = is_smooth_mod_q(F, DEFAULT_MODULI[0])
+            if expected is None:
+                assert cert is None, (n, k)
+            else:
+                assert (cert.pure_powers, cert.basis_size) == expected, (n, k)
+    for (kind, n), (powers, size) in SPECIAL_CERTIFICATES.items():
+        F = fermat(n) if kind == "fermat" else klein(n)
+        cert = is_smooth_mod_q(F, DEFAULT_MODULI[0])
+        assert (cert.pure_powers, cert.basis_size) == (powers, size), (kind, n)
+    rng = random.Random(2024)
+    for p, vals, a in SINGULAR_EIGENSPACES:
+        basis = eigenspace_basis(Signature(p, vals), a).monomials
+        F = CubicForm(len(vals) - 2, {m: rng.randint(1, 10**6) for m in basis})
+        assert all(is_smooth_mod_q(F, q) is None for q in DEFAULT_MODULI), (p, vals)
+
+
+def test_jacobian_bases_match_the_pinned_digests(monkeypatch):
+    # The whole basis, not only the certificate, is the one the 16-bit
+    # engine built, singular runs that end on an empty queue included; and
+    # the run packs at the width rule, in one 30-bit digit up to n = 4.
+    runs = []
+    buchberger = smoothness._buchberger
+
+    def recording(gens, q, P, jacobian=False):
+        out = buchberger(gens, q, P, jacobian)
+        runs.append((P, out[0]))
+        return out
+
+    monkeypatch.setattr(smoothness, "_buchberger", recording)
+    digests = {("dense",) + k: v for k, v in DENSE_BASIS_DIGESTS.items()}
+    digests.update({("sparse",) + k: v for k, v in SPARSE_BASIS_DIGESTS.items()})
+    for kind, n, k, F in seeded_forms():
+        is_smooth_mod_q(F, DEFAULT_MODULI[0])
+        P, basis = runs.pop()
+        nv = n + 2
+        assert P.w == (2 * nv + 2).bit_length()
+        rows = [(_unpack(P, lm), sorted((_unpack(P, e), c) for e, c in tail.items()))
+                for lm, tail in basis]
+        assert all(sum(e) <= nv + 1 for lm, tail in rows for e in [lm] + [t for t, _ in tail])
+        if n <= 4:
+            assert all(lm < 1 << 30 for lm, _ in basis)
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert digest == digests[kind, n, k], (kind, n, k)
+
+
+def degrevlex_key(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def check_packed_against_tuples(P, monomials, pairs):
+    packed = {e: _pack(P, e) for e in monomials}
+    assert sorted(monomials, key=degrevlex_key) == sorted(monomials, key=lambda e: P.key(packed[e]))
+    for e in monomials:
+        m = packed[e]
+        assert _unpack(P, m) == e and m >> P.top == sum(e)
+        support = [i for i, x in enumerate(e) if x]
+        assert P.pure_var(m) == (support[0] if len(support) == 1 else None), e
+    lcms = {}
+    for a, b in pairs:
+        lcm = P.lcm(packed[a], packed[b])
+        expected = tuple(map(max, a, b))
+        assert _unpack(P, lcm) == expected and lcm >> P.top == sum(expected), (a, b)
+        assert (not (packed[b] - packed[a]) & P.guard) == all(map(operator.ge, b, a)), (a, b)
+        lcms[expected] = lcm
+    # lcms reach degree 2 nv + 2, past CAP, and still order as degrevlex
+    assert sorted(lcms, key=degrevlex_key) == sorted(lcms, key=lambda e: P.key(lcms[e]))
+
+
+@pytest.mark.parametrize("nv", [4, 5])
+def test_narrow_packing_matches_exponent_tuples_exhaustively(nv):
+    # Every monomial of degree at most nv + 1, and every pair of them.
+    P = smoothness._Packed(nv, (2 * nv + 2).bit_length())
+    monomials = [e for e in product(range(nv + 2), repeat=nv) if sum(e) <= nv + 1]
+    check_packed_against_tuples(P, monomials, product(monomials, repeat=2))
+
+
+def test_narrow_packing_matches_exponent_tuples_on_samples():
+    rng = random.Random(41)
+    for nv in range(2, 13):
+        P = smoothness._Packed(nv, (2 * nv + 2).bit_length())
+        monomials = set()
+        for _ in range(300):
+            e = [0] * nv
+            for _ in range(rng.randrange(nv + 2)):
+                e[rng.randrange(nv)] += 1
+            monomials.add(tuple(e))
+        monomials |= {tuple(nv + 1 if j == i else 0 for j in range(nv)) for i in range(nv)}
+        monomials = sorted(monomials)
+        pairs = [(rng.choice(monomials), rng.choice(monomials)) for _ in range(2000)]
+        check_packed_against_tuples(P, monomials, pairs)
