@@ -108,6 +108,13 @@ def _check_dimension(n: int) -> int:
     return n
 
 
+def _check_weight(a) -> int:
+    """An eigenweight: an int and not a bool (floats are refused, not cast)."""
+    if type(a) is not int:
+        raise ValueError(f"weight must be an integer, got {a!r}")
+    return a
+
+
 def minus_two_order(p: int, n: int) -> int | None:
     """The order of -2 mod the prime p when it is at most n + 2, else None.
 

@@ -13,9 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .admissibility import admissible_primes, is_admissible, is_prime
+from .admissibility import _check_weight, admissible_primes, is_admissible, is_prime
 from .forms import (
-    _check_weight,
     coordinate_subspace_obstruction,
     eigenspace_basis,
     lemma_feasible_weights,

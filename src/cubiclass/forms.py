@@ -8,7 +8,12 @@ sigma_i + sigma_j + sigma_k mod p.
 
 from collections import Counter
 
-from .admissibility import _check_dimension, admissible_primes, minus_two_order
+from .admissibility import (
+    _check_dimension,
+    _check_weight,
+    admissible_primes,
+    minus_two_order,
+)
 from .signatures import Signature
 
 Monomial = tuple  # (i, j, k) with i <= j <= k
@@ -23,13 +28,6 @@ def _check_monomial(m, n: int) -> Monomial:
     ):
         raise ValueError(f"invalid monomial {m} for n={n}")
     return m
-
-
-def _check_weight(a) -> int:
-    """An eigenweight: an int and not a bool (floats are refused, not cast)."""
-    if type(a) is not int:
-        raise ValueError(f"weight must be an integer, got {a!r}")
-    return a
 
 
 class CubicForm:
@@ -275,11 +273,14 @@ def form_to_json(F: CubicForm) -> dict:
 
 def form_from_json(doc: dict) -> CubicForm:
     """Parse and validate the interchange format; duplicate monomials rejected."""
-    if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
-        raise ValueError("form document needs 'n' and 'terms'")
+    if not (isinstance(doc, dict) and "n" in doc
+            and isinstance(doc.get("terms"), list)):
+        raise ValueError("form document needs 'n' and a 'terms' list")
     terms = {}
     for entry in doc["terms"]:
-        if set(entry) != {"c", "m"}:
+        if not (isinstance(entry, dict) and set(entry) == {"c", "m"}
+                and isinstance(entry["m"], list)
+                and all(type(i) is int for i in entry["m"])):
             raise ValueError(f"bad term entry {entry!r}")
         m = tuple(entry["m"])
         if m in terms:

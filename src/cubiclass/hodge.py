@@ -51,8 +51,8 @@ def jacobian_ring_character(F: CubicForm, sig: Signature, d: int) -> SpectrumSet
     its signed count in degree k, first divided by every (1 - t z^sigma_i),
     then multiplied by every (1 - t^2 z^(a - sigma_i)).
     """
-    if d < 0:
-        raise ValueError("degree must be >= 0")
+    if type(d) is not int or d < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {d!r}")
     a = weight_of(F, sig)
     if a is None:
         raise ValueError("form is not an eigenvector of the given signature")

@@ -10,7 +10,12 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .admissibility import _check_dimension, ensure_prime, minus_two_order
+from .admissibility import (
+    _check_dimension,
+    _check_weight,
+    ensure_prime,
+    minus_two_order,
+)
 
 
 class IncompleteError(RuntimeError):
@@ -180,7 +185,7 @@ def family_key(sig: Signature, a: int) -> tuple:
     place that knows 3 need not be a unit mod p.
     """
     p = sig.p
-    a %= p
+    a = _check_weight(a) % p
     if p != 3:
         b = -a * pow(3, -1, p) % p
         return 0, scaling_canonical(Signature(p, [v + b for v in sig.values])).values

@@ -54,28 +54,26 @@ class SingularWitness:
 
 
 class _Packed:
-    """Exponent vectors as one int in w-bit fields: variable i in bits
-    [w*i, w*i + w - 1), a clear guard bit w*i + w - 1, and the total degree
-    above the last field, at bit top = w*nv.
+    """Exponent vectors as one int in w-bit fields, w = (2*nv + 2).bit_length():
+    variable i in bits [w*i, w*i + w - 1), a clear guard bit w*i + w - 1,
+    and the total degree above the last field, at bit top = w*nv.
 
-    While every exponent stays below CAP = 2**(w - 1), a product or a shift
-    is one + or -; lm | e exactly when e - lm sets no guard bit, since a
-    field with e_i < lm_i borrows through its own guard; and e ^ varmax is
-    the degrevlex key (degree, then complemented fields from the last
-    variable), the same order for every w.  lcm reads the degree of its
-    result as field nv - 1 of v * ones, whose field k sums the fields 0..k
-    of v; no field carries when that degree is below 2**w, which holds for
-    the lcm of two monomials of degree below CAP.
-
-    groebner_oracle packs with w = 16 and checks every degree against CAP;
-    is_smooth_mod_q takes the narrowest w its Jacobian run allows.
+    While every exponent stays below 2**(w - 1), a product or a shift is
+    one + or -; lm | e exactly when e - lm sets no guard bit, since a field
+    with e_i < lm_i borrows through its own guard; and e ^ varmax is the
+    degrevlex key (degree, then complemented fields from the last
+    variable).  lcm reads the degree of its result as field nv - 1 of
+    v * ones, whose field k sums the fields 0..k of v; no field carries
+    when that degree is below 2**w.  is_smooth_mod_q shows that its run
+    keeps both bounds: monomials of degree at most nv + 1 < 2**(w - 1),
+    and lcms of two of them, of degree at most 2*nv + 2 < 2**w.
     """
 
-    def __init__(self, nv: int, w: int):
+    def __init__(self, nv: int):
+        w = (2 * nv + 2).bit_length()
         self.nv = nv
         self.w = w
         self.top = w * nv
-        self.CAP = 1 << (w - 1)
         self.ones = sum(1 << (w * i) for i in range(nv))
         self.guard = self.ones << (w - 1)
         self.varmax = self.guard - self.ones
@@ -105,10 +103,10 @@ def _normal_form(terms: dict, basis: list, q: int, P: _Packed, memo: dict) -> di
     when its term pops, so the remainder is that of the reduced input.
 
     memo maps a monomial to the index of the first element dividing it, or
-    to ~k when none of the first k does.  Calls may share one memo while
-    their basis only grows by appending: the first k elements never
-    change, so an index stays the first divisor and ~k leaves only
-    basis[k:] to scan.  Any other call passes a fresh dict.
+    to ~k when none of the first k does.  _buchberger shares one memo among
+    the calls of a run, as its basis only grows by appending: the first k
+    elements never change, so an index stays the first divisor and ~k
+    leaves only basis[k:] to scan.
     """
     guard, varmax = P.guard, P.varmax
     size = len(basis)
@@ -163,15 +161,15 @@ def complete_intersection_dim(nv: int, d: int) -> int:
     return comb(nv - 1 + d, d) - comb(nv, d)
 
 
-def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
-    """Buchberger with the coprime and chain criteria, normal selection.
+def _buchberger(gens: list, q: int, P: _Packed):
+    """Hilbert-driven Buchberger on a Jacobian ideal, with the coprime and
+    chain criteria and normal selection.
 
-    gens is a list of term dicts over packed monomials.  With jacobian set,
-    gens are nv quadrics in nv variables and the run is Hilbert-driven as
-    proven in is_smooth_mod_q: a pair whose degree the leading monomials
-    already fill is dropped, a completed degree short of the bound ends the
-    run, and so does a pure-power leading monomial for every variable.
-    Without it, a pair of degree CAP or more raises ValueError.
+    gens are nv quadrics in nv variables as term dicts over packed
+    monomials.  As proven in is_smooth_mod_q, a pair whose degree the
+    leading monomials already fill is dropped, a completed degree short of
+    the bound ends the run, and so does a pure-power leading monomial for
+    every variable.
 
     Three shortcuts leave the run as the plain loop does it: the same pairs
     reduced in the same order, each term by the same basis element.
@@ -179,15 +177,15 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
       are queued does not matter.  The generators' pairs are queued only
       once their pure-power check fails, so a run that every generator
       already certifies queues none.
-    - With jacobian, no pair above degree nv + 1 is queued.  The plain loop
-      never reduces one: is_smooth_mod_q shows that the first such pair to
-      pop ends the run, and a run ended by the empty queue returns the
-      same (basis, pure).  The chain criterion, for a popped pair of lcm L,
-      asks only whether pairs whose lcm divides L are pending; those have
-      degree at most that of L, so they are queued as before.
-    - One memo of first divisors serves every _normal_form of the run,
-      valid as the basis only grows by appending, and S-polynomials are
-      reduced mod q only as their terms pop (see _normal_form).
+    - No pair above degree nv + 1 is queued.  The plain loop never reduces
+      one: is_smooth_mod_q shows that the first such pair to pop ends the
+      run, and a run ended by the empty queue returns the same (basis,
+      pure).  The chain criterion, for a popped pair of lcm L, asks only
+      whether pairs whose lcm divides L are pending; those have degree at
+      most that of L, so they are queued as before.
+    - One memo of first divisors serves every _normal_form of the run, and
+      S-polynomials are reduced mod q only as their terms pop (see
+      _normal_form).
 
     Returns (basis, pure) with basis a list of (lm, tail) pairs as in
     _normal_form and pure the minimal pure-power exponent per variable.
@@ -197,7 +195,6 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
     pairheap = []
     pending = set()
     memo = {}
-    maxdeg = P.nv + 1 if jacobian else P.CAP - 1
 
     def add(h):
         lm = max(h, key=P.key)
@@ -211,59 +208,50 @@ def _buchberger(gens: list, q: int, P: _Packed, jacobian=False):
         lmj = basis[j][0]
         for i in range(j):
             key = P.key(P.lcm(basis[i][0], lmj))
-            if key >> P.top > maxdeg:
-                if not jacobian:
-                    raise ValueError("Groebner basis leaves the packed degree range")
-                continue
-            heapq.heappush(pairheap, (key, i, j))
-            pending.add((i, j))
+            if key >> P.top <= P.nv + 1:
+                heapq.heappush(pairheap, (key, i, j))
+                pending.add((i, j))
 
     for g in gens:
         h = _normal_form(g, basis, q, P, memo)
         if h:
             add(h)
-    if jacobian and len(pure) == P.nv:
+    if len(pure) == P.nv:
         return basis, pure
     for j in range(1, len(basis)):
         queue_pairs(j)
-    # with jacobian: the degree-deg monomials some leading monomial divides
+    # the degree-deg monomials some leading monomial divides
     deg, lead = 2, {lm for lm, _ in basis}
     steps = [(1 << P.w * i) + (1 << P.top) for i in range(P.nv)]
 
-    while pairheap:
-        if jacobian and len(pure) == P.nv:
-            break
+    while pairheap and len(pure) < P.nv:
         key, i, j = heapq.heappop(pairheap)
         pending.discard((i, j))
-        if jacobian:
-            while deg < key >> P.top:
-                if len(lead) < complete_intersection_dim(P.nv, deg):
-                    return basis, pure
-                deg += 1
-                lead = {m + s for m in lead for s in steps}
-            if len(lead) == complete_intersection_dim(P.nv, deg):
-                continue
+        while deg < key >> P.top:
+            if len(lead) < complete_intersection_dim(P.nv, deg):
+                return basis, pure
+            deg += 1
+            lead = {m + s for m in lead for s in steps}
+        if len(lead) == complete_intersection_dim(P.nv, deg):
+            continue
         lmi, fi = basis[i]
         lmj, fj = basis[j]
         lcm = key ^ P.varmax
         if lcm == lmi + lmj:
             continue
-        skip = False
         for k in range(len(basis)):
             if k in (i, j) or (lcm - basis[k][0]) & P.guard:
                 continue
             a, b = min(i, k), max(i, k)
             c, d = min(j, k), max(j, k)
             if (a, b) not in pending and (c, d) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        h = _normal_form(_spoly(lcm, lmi, fi, lmj, fj), basis, q, P, memo)
-        if h:
-            add(h)
-            queue_pairs(len(basis) - 1)
-            lead.add(basis[-1][0])
+                break  # the chain criterion drops the pair
+        else:
+            h = _normal_form(_spoly(lcm, lmi, fi, lmj, fj), basis, q, P, memo)
+            if h:
+                add(h)
+                queue_pairs(len(basis) - 1)
+                lead.add(basis[-1][0])
 
     return basis, pure
 
@@ -303,20 +291,19 @@ def is_smooth_mod_q(F: CubicForm, q: int):
     none.  The partials are homogeneous and so is every S-polynomial and
     remainder, so no monomial the run reduces or keeps exceeds degree
     nv + 1, and the lcm of two of its leading monomials has degree at most
-    2*nv + 2.  Monomials are packed in w-bit fields with
-    w = (2*nv + 2).bit_length(): then nv + 1 < 2**(w - 1) = CAP and
-    2*nv + 2 < 2**w, all _Packed needs.  Up to n = 4 a monomial fits in
-    one 30-bit digit of a Python int.
+    2*nv + 2.  _Packed's fields are w = (2*nv + 2).bit_length() bits wide:
+    then nv + 1 < 2**(w - 1) and 2*nv + 2 < 2**w, all it needs.  Up to
+    n = 4 a monomial fits in one 30-bit digit of a Python int.
     """
     ensure_prime(q)
     if q in (2, 3):
         raise ValueError("modulus must avoid 2 and 3")
     nv = F.n + 2
-    P = _Packed(nv, (2 * nv + 2).bit_length())
+    P = _Packed(nv)
     gens = _partials_mod_q(F, q, P)
     if not any(gens):
         raise ValueError(f"form vanishes mod {q}")
-    basis, pure = _buchberger(gens, q, P, jacobian=True)
+    basis, pure = _buchberger(gens, q, P)
     if len(pure) == nv:
         return SmoothnessCertificate(
             modulus=q,

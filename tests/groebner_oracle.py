@@ -1,13 +1,16 @@
 """Reference Groebner bases over F_q on explicit exponent vectors.
 
-The library runs Buchberger on packed monomials and reads only the leading
-terms it needs.  This module wraps the same engine for whole ideals: a
-sparse polynomial type, and the reduced degrevlex basis of a list of them,
-so the engine can be checked against textbook examples and sympy.
+A textbook Buchberger (Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, 2.7 and 2.10) on polynomials keyed by exponent tuples: normal
+selection, Buchberger's coprime and chain criteria, and interreduction to
+the reduced degrevlex basis.  It shares no code with the library's packed
+engine, so the tests can check that engine against it, and it against
+textbook examples and sympy.
 """
 
+import heapq
+
 from cubiclass.admissibility import ensure_prime
-from cubiclass.smoothness import _buchberger, _normal_form, _Packed
 
 
 def _sortkey(e):
@@ -73,38 +76,112 @@ class PolyModQ:
         return f"PolyModQ({' + '.join(bits)} mod {self.q})"
 
 
-def _pack(P: _Packed, e) -> int:
-    """Exponent vector e as a packed monomial of P's layout."""
-    if any(x < 0 for x in e) or sum(e) >= P.CAP:
-        raise ValueError(f"monomial {e} is outside the packed degree range")
-    return sum(x << (P.w * i) for i, x in enumerate(e)) + (sum(e) << P.top)
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
 
-def _unpack(P: _Packed, m) -> tuple:
-    return tuple(m >> (P.w * i) & (P.CAP - 1) for i in range(P.nv))
+def _monic(f: dict, q: int):
+    """(lm, f / lc) for a nonzero term dict f."""
+    lm = max(f, key=_sortkey)
+    inv = pow(f[lm], -1, q)
+    return lm, {e: c * inv % q for e, c in f.items()}
 
 
-def _interreduce(basis: list, q: int, P: _Packed) -> list:
+def _remainder(f: dict, basis: list, q: int) -> dict:
+    """Full remainder of f on division by the monic (lm, poly) pairs of
+    basis, each leading term cancelled by the first element dividing it."""
+    f = {e: c % q for e, c in f.items() if c % q}
+    rem = {}
+    while f:
+        lead = max(f, key=_sortkey)
+        c = f.pop(lead)
+        for lm, g in basis:
+            if _divides(lm, lead):
+                shift = [a - b for a, b in zip(lead, lm)]
+                for e, gc in g.items():
+                    if e == lm:
+                        continue
+                    t = tuple(a + b for a, b in zip(e, shift))
+                    v = (f.get(t, 0) - c * gc) % q
+                    if v:
+                        f[t] = v
+                    else:
+                        f.pop(t, None)
+                break
+        else:
+            rem[lead] = c
+    return rem
+
+
+def _spoly(f, g, q: int) -> dict:
+    """S-polynomial of the monic (lm, poly) pairs f and g."""
+    (lf, pf), (lg, pg) = f, g
+    lcm = tuple(map(max, lf, lg))
+    out = {}
+    for (lm, p), sign in (((lf, pf), 1), ((lg, pg), -1)):
+        shift = [a - b for a, b in zip(lcm, lm)]
+        for e, c in p.items():
+            t = tuple(a + b for a, b in zip(e, shift))
+            out[t] = (out.get(t, 0) + sign * c) % q
+    return out
+
+
+def _buchberger(gens: list, q: int) -> list:
+    """A Groebner basis of the ideal of gens, as monic (lm, poly) pairs.
+
+    Pairs are treated in increasing degrevlex order of their lcm (normal
+    selection).  A pair is skipped when its leading monomials are coprime,
+    since its S-polynomial then reduces to zero (Buchberger's first
+    criterion), or when some third element's leading monomial divides the
+    lcm and its pairs with both are already treated (the chain criterion).
+    """
+    basis = [_monic(g, q) for g in gens]
+    pairs, pending = [], set()
+
+    def queue(j):
+        for i in range(j):
+            lcm = tuple(map(max, basis[i][0], basis[j][0]))
+            heapq.heappush(pairs, (_sortkey(lcm), i, j))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        queue(j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        li, lj = basis[i][0], basis[j][0]
+        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+            continue
+        lcm = tuple(map(max, li, lj))
+        if any(
+            k != i and k != j and _divides(basis[k][0], lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue
+        h = _remainder(_spoly(basis[i], basis[j], q), basis, q)
+        if h:
+            basis.append(_monic(h, q))
+            queue(len(basis) - 1)
+    return basis
+
+
+def _interreduce(basis: list, q: int) -> list:
     """Minimal then fully tail-reduced basis; unique for the ideal and order."""
     kept = []
-    for lm, tail in sorted(basis, key=lambda it: P.key(it[0])):
-        if all((lm - k[0]) & P.guard for k in kept):
-            kept.append((lm, tail))
+    for lm, g in sorted(basis, key=lambda it: _sortkey(it[0])):
+        if not any(_divides(k, lm) for k, _ in kept):
+            kept.append((lm, g))
     out = []
-    for idx, (lm, tail) in enumerate(kept):
-        others = [kept[i] for i in range(len(kept)) if i != idx]
-        red = _normal_form(tail, others, q, P, {})
-        red[lm] = 1
-        out.append((lm, red))
+    for idx, (lm, g) in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        out.append(_remainder(g, others, q))
     return out
 
 
 def groebner_basis(gens: list) -> list:
-    """Reduced degrevlex Groebner basis of PolyModQ over a common modulus.
-
-    Monomials are packed in 16-bit fields, so this raises ValueError once
-    any monomial or S-pair reaches total degree 2**15.
-    """
+    """Reduced degrevlex Groebner basis of PolyModQ over a common modulus."""
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -112,11 +189,7 @@ def groebner_basis(gens: list) -> list:
     for g in gens:
         if g.q != q:
             raise ValueError("modulus mismatch among generators")
-    nv = {g.nvars for g in gens}
-    if len(nv) != 1:
+    if len({g.nvars for g in gens}) != 1:
         raise ValueError("generators must share a variable count")
-    P = _Packed(nv.pop(), 16)
-    packed = [{_pack(P, e): c for e, c in g.terms.items()} for g in gens]
-    raw, _ = _buchberger(packed, q, P)
-    reduced = _interreduce(raw, q, P)
-    return [PolyModQ(q, {_unpack(P, e): c for e, c in t.items()}) for _, t in reduced]
+    basis = _buchberger([g.terms for g in gens], q)
+    return [PolyModQ(q, t) for t in _interreduce(basis, q)]

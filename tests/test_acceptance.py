@@ -213,10 +213,16 @@ def _assert_klein_unique(n, p, records):
 
 
 def test_criterion_6_klein_uniqueness():
-    # Above 2^n only the Klein family occurs, with D = 0, at every n <= 30.
+    # Above 2^n only the Klein family occurs, with D = 0, at every n <= 88,
+    # the reach of the admissible tables.  For n >= 3 a prime p > 2^n that
+    # divides some (-2)^l - 1 with l <= n + 2 needs l = n + 2 odd and
+    # p = (2^(n+2) + 1)/3, a Wagstaff prime (Bateman, Selfridge and
+    # Wagstaff, Amer. Math. Monthly 96, 1989).  So the n below are 2 and
+    # those with n + 2 a Wagstaff exponent: 5, 7, 11, ..., 61, 79.
     t0 = time.perf_counter()
-    pairs = [(n, p) for n in range(2, 31) for p in admissible_primes(n) if p > 2**n]
-    assert {n for n, _ in pairs} == {2, 3, 5, 9, 11, 15, 17, 21, 29}
+    pairs = [(n, p) for n in range(2, 89) for p in admissible_primes(n) if p > 2**n]
+    assert {n for n, _ in pairs} == {2, 3, 5, 9, 11, 15, 17, 21, 29, 41, 59, 77}
+    assert all(p == (2 ** (n + 2) + 1) // 3 for n, p in pairs if n >= 3)
     for n, p in pairs:
         _assert_klein_unique(n, p, classify(n, p))
     assert time.perf_counter() - t0 < 30.0

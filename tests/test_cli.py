@@ -272,6 +272,17 @@ def test_smooth_rejects_non_integer_entries(tmp_path, term):
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "terms", [["cm"], [1], [{"c": 1, "m": 5}], [{"c": 1, "m": [[0], 0, 0]}]], ids=repr
+)
+def test_smooth_rejects_malformed_term_entries(tmp_path, terms):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, "terms": terms}))
+    code, text = run_cli("smooth", str(path))
+    assert code == 2
+    assert text.startswith("error: bad term entry") and text.count("\n") == 1
+
+
 # Full stdout of spectrum --klein 3 and --klein 5, byte for byte.
 SPECTRUM_KLEIN3 = (
     '{\n'

@@ -468,6 +468,29 @@ def test_form_json_rejects_unsorted():
         form_from_json(doc)
 
 
+MALFORMED_TERMS = [
+    ["cm"],
+    [1],
+    [{"c": 1, "m": 5}],
+    [{"c": 1, "m": [[0], 0, 0]}],
+    [{"c": 1, "m": "000"}],
+    [{"c": 1, "m": [0, 0, True]}],
+]
+
+
+@pytest.mark.parametrize("terms", MALFORMED_TERMS, ids=repr)
+def test_form_json_rejects_malformed_terms(terms):
+    # Each entry is a dict with exactly c and m, m a list of ints; these
+    # raised TypeError with Python's own messages before.
+    with pytest.raises(ValueError, match="bad term entry"):
+        form_from_json({"n": 2, "terms": terms})
+
+
+def test_form_json_terms_must_be_a_list():
+    with pytest.raises(ValueError, match="a 'terms' list"):
+        form_from_json({"n": 2, "terms": 5})
+
+
 def test_monomial_weight_helper():
     # A one-term form has the weight of its monomial.
     sig = Signature(11, (1, 3, 4, 5, 9))

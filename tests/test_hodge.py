@@ -143,6 +143,13 @@ def test_character_rejects_singular_form(d):
         jacobian_ring_character(cone, Signature(7, (0,) * 5), d)
 
 
+@pytest.mark.parametrize("d", [1.0, True, False, -1], ids=repr)
+def test_character_refuses_a_degree_that_is_no_natural_number(d):
+    # 1.0 raised TypeError from range and True gave the degree-1 piece.
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        jacobian_ring_character(klein(3), klein_signature(3)[1], d)
+
+
 def test_character_rejects_mixed_weight():
     F = CubicForm(3, {(0, 0, 0): 1, (0, 0, 1): 1})
     with pytest.raises(ValueError):

@@ -251,6 +251,17 @@ def test_family_key_folds_weight_two_onto_one_exactly_when_p3_doubling_translate
         assert (family_key(sig, 1) == family_key(sig, 2)) == translate
 
 
+@pytest.mark.parametrize("weight", [0.0, 1.0, False, True], ids=repr)
+@pytest.mark.parametrize("p", [3, 5])
+def test_family_key_refuses_non_integer_weights(p, weight):
+    # At p = 3 a float weight gave a float key and True was read as 1; at
+    # p = 5 a float failed later, inside Signature.  The int is accepted.
+    sig = Signature(p, (0, 1, 2, 0, 1))
+    with pytest.raises(ValueError, match="weight must be an integer"):
+        family_key(sig, weight)
+    assert all(type(v) is int for v in family_key(sig, int(weight))[1])
+
+
 def orbit_partition_oracle(p, m):
     """Union-find over the full vector space under generator moves."""
     vectors = list(product(range(p), repeat=m))

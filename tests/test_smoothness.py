@@ -27,7 +27,7 @@ from cubiclass.smoothness import (
     singular_point_from_lemma_base,
 )
 from form_helpers import brute_order, relabel
-from groebner_oracle import PolyModQ, _pack, _unpack, groebner_basis
+from groebner_oracle import PolyModQ, groebner_basis
 from rank_oracle import rank_mod_q
 
 
@@ -133,19 +133,6 @@ def test_poly_refuses_non_integers():
 def test_groebner_modulus_mismatch():
     with pytest.raises(ValueError):
         groebner_basis([PolyModQ(7, {(1,): 1}), PolyModQ(11, {(1,): 1})])
-
-
-def test_groebner_rejects_degrees_past_packed_fields():
-    # Exponents live in 15-bit fields under the total degree; a monomial or
-    # an S-pair past 2**15 raises rather than wrapping into the next field.
-    with pytest.raises(ValueError):
-        groebner_basis([PolyModQ(7, {(1 << 15, 0): 1})])
-    with pytest.raises(ValueError):
-        groebner_basis([PolyModQ(7, {(0, 1 << 15): 1, (1, 0): 1})])
-    with pytest.raises(ValueError):
-        groebner_basis([PolyModQ(7, {(20000, 1): 1}), PolyModQ(7, {(1, 20000): 1})])
-    G = groebner_basis([PolyModQ(7, {((1 << 15) - 1, 0): 1, (0, 1): 1})])
-    assert [g.terms for g in G] == [{((1 << 15) - 1, 0): 1, (0, 1): 1}]
 
 
 def test_is_smooth_fermat():
@@ -523,6 +510,35 @@ def test_certificates_match_the_pinned_table():
         assert all(is_smooth_mod_q(F, q) is None for q in DEFAULT_MODULI), (p, vals)
 
 
+def reference_pure_powers(F, q):
+    """Pure-power exponent per variable among the leading monomials of the
+    reference reduced basis of the partials, or None if one is missing.  A
+    reduced basis is minimal, so it holds at most one per variable, the
+    least in the leading-term ideal."""
+    nv = F.n + 2
+    gens = [PolyModQ(q, {tuple(pair.count(v) for v in range(nv)): c
+                         for pair, c in dq.items()}) for dq in partials(F)]
+    pure = {}
+    for g in groebner_basis(gens):
+        lm = g.lm()
+        support = [i for i, x in enumerate(lm) if x]
+        if len(support) == 1:
+            pure[support[0]] = lm[support[0]]
+    return tuple(pure[v] for v in range(nv)) if len(pure) == nv else None
+
+
+def test_certificates_match_the_independent_reference():
+    # The packed engine and the textbook Buchberger of groebner_oracle share
+    # no code; they must find the same least pure powers of the same forms.
+    q = DEFAULT_MODULI[0]
+    forms = [F for _, n, _, F in seeded_forms() if n <= 3]
+    forms += [klein(n) for n in (2, 3, 4)] + [fermat(3)]
+    assert len(forms) == 14
+    for F in forms:
+        cert = is_smooth_mod_q(F, q)
+        assert cert is not None and cert.pure_powers == reference_pure_powers(F, q), F.terms
+
+
 def test_jacobian_bases_match_the_pinned_digests(monkeypatch):
     # The whole basis, not only the certificate, is the one the 16-bit
     # engine built, singular runs that end on an empty queue included; and
@@ -530,8 +546,8 @@ def test_jacobian_bases_match_the_pinned_digests(monkeypatch):
     runs = []
     buchberger = smoothness._buchberger
 
-    def recording(gens, q, P, jacobian=False):
-        out = buchberger(gens, q, P, jacobian)
+    def recording(gens, q, P):
+        out = buchberger(gens, q, P)
         runs.append((P, out[0]))
         return out
 
@@ -550,6 +566,15 @@ def test_jacobian_bases_match_the_pinned_digests(monkeypatch):
             assert all(lm < 1 << 30 for lm, _ in basis)
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
         assert digest == digests[kind, n, k], (kind, n, k)
+
+
+def _pack(P, e) -> int:
+    """Exponent vector e as a packed monomial of P's layout."""
+    return sum(x << (P.w * i) for i, x in enumerate(e)) + (sum(e) << P.top)
+
+
+def _unpack(P, m) -> tuple:
+    return tuple(m >> (P.w * i) & ((1 << P.w - 1) - 1) for i in range(P.nv))
 
 
 def degrevlex_key(e):
@@ -571,14 +596,15 @@ def check_packed_against_tuples(P, monomials, pairs):
         assert _unpack(P, lcm) == expected and lcm >> P.top == sum(expected), (a, b)
         assert (not (packed[b] - packed[a]) & P.guard) == all(map(operator.ge, b, a)), (a, b)
         lcms[expected] = lcm
-    # lcms reach degree 2 nv + 2, past CAP, and still order as degrevlex
+    # lcms reach degree 2 nv + 2, past the exponent fields, and still order
+    # as degrevlex
     assert sorted(lcms, key=degrevlex_key) == sorted(lcms, key=lambda e: P.key(lcms[e]))
 
 
 @pytest.mark.parametrize("nv", [4, 5])
 def test_narrow_packing_matches_exponent_tuples_exhaustively(nv):
     # Every monomial of degree at most nv + 1, and every pair of them.
-    P = smoothness._Packed(nv, (2 * nv + 2).bit_length())
+    P = smoothness._Packed(nv)
     monomials = [e for e in product(range(nv + 2), repeat=nv) if sum(e) <= nv + 1]
     check_packed_against_tuples(P, monomials, product(monomials, repeat=2))
 
@@ -586,7 +612,7 @@ def test_narrow_packing_matches_exponent_tuples_exhaustively(nv):
 def test_narrow_packing_matches_exponent_tuples_on_samples():
     rng = random.Random(41)
     for nv in range(2, 13):
-        P = smoothness._Packed(nv, (2 * nv + 2).bit_length())
+        P = smoothness._Packed(nv)
         monomials = set()
         for _ in range(300):
             e = [0] * nv
