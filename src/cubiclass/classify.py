@@ -152,7 +152,7 @@ def _process_class(class_sig: Signature):
 def _resolve_strategy(p: int, n: int) -> str:
     """exhaustive when p <= 3 (chain_pruned needs p > 3) or p^(n+2) <= 10^8,
     else chain_pruned.  The rule does not read the walk size that
-    enumerate_orbits checks: at p = 43, n = 5 that walk, 36,768,270
+    enumerate_orbits checks: at p = 43, n = 5 that walk, 1,999,998
     lead-block candidates, is under 10^8 and would add lemma_base rows
     where the Klein family is the whole classification.
     """

@@ -158,7 +158,7 @@ def cmd_smooth(args, out) -> int:
     try:
         payload = json.loads(Path(args.form).read_text())
         F = form_from_json(payload)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         out.write(f"error: {exc}\n")
         return EXIT_USAGE
     if not F:

@@ -8,7 +8,7 @@ that group action are the classification unit everywhere downstream.
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 from .admissibility import (
     _check_dimension,
@@ -66,10 +66,13 @@ class AffinePermAction:
 
     def __init__(self, p: int, a: int, b: int, perm):
         ensure_prime(p)
+        perm = tuple(perm)
+        if any(type(x) is not int for x in (a, b, *perm)):
+            raise ValueError(f"a, b and perm must be integers: {a!r}, {b!r}, {perm!r}")
         self.p = p
         self.a = a % p
         self.b = b % p
-        self.perm = tuple(perm)
+        self.perm = perm
         if self.a == 0:
             raise ValueError("scaling part must be nonzero mod p")
         if sorted(self.perm) != list(range(len(self.perm))):
@@ -196,26 +199,6 @@ def family_key(sig: Signature, a: int) -> tuple:
     )
 
 
-def _emit_classes(p: int, multisets) -> list[Signature]:
-    """Canonical classes of the sorted candidate multisets, in increasing order.
-
-    handled holds the lead-block members of every orbit seen so far, so a
-    multiset from _lead_shaped_multisets whose orbit was seen is skipped.
-    Other multisets miss handled and are deduplicated by classes.  No walk
-    yields a constant vector (a lead-shaped multiset holds 0 and 1, a chain
-    multiset the ell >= 2 values of the coset of 1), so no class is zero.
-    """
-    handled = set()
-    classes = set()
-    for vals in multisets:
-        if vals in handled:
-            continue
-        orbit = set(_lead_blocks(p, vals))
-        handled |= orbit
-        classes.add(min(orbit))
-    return [Signature(p, v) for v in sorted(classes)]
-
-
 def _lead_shaped_multisets(p: int, slots: int):
     """Sorted nonzero multisets 0^m 1^k + rest with rest drawn from [2, p)
     and every multiplicity in rest at most k <= m.
@@ -240,27 +223,30 @@ def _lead_shaped_multisets(p: int, slots: int):
                 yield head + rest
 
 
-def _lead_shaped_count(p: int, slots: int) -> int:
-    """len(list(_lead_shaped_multisets(p, slots))) in closed form.
+def orbit_count(p: int, n: int) -> int:
+    """Number of nonzero signature classes, len(enumerate_orbits(p, n)).
 
-    For each head 0^m 1^k the rests are the multisets of size r from the
-    q = p - 2 values in [2, p) with every multiplicity at most k; by
-    inclusion-exclusion over the values taken more than k times there are
-    sum_i (-1)^i C(q, i) C(r - i(k+1) + q - 1, q - 1) of them.
+    Burnside's lemma (Harary and Palmer, Graphical Enumeration, 1973): with
+    the constant class, the classes are the orbits of the p(p-1) maps
+    x -> a*x + b on N-multisets of Z/p, N = n+2, so their number is the
+    mean count of multisets a map fixes, those constant on its cycles.  The
+    identity fixes C(p+N-1, N); a translation, one p-cycle, fixes one when
+    p | N.  Each of the p maps of a unit a != 1 of order d has one fixed
+    point and c = (p-1)/d d-cycles, so it fixes f(d) = sum_(j <= N/d)
+    C(j+c-1, c-1) = C(N//d + c, c) multisets: j*d slots on the cycles, the
+    rest on the fixed point.  f(d) = 1 when d > N, and the phi(d) units of
+    order d, d | p-1, number p-1 in all, so the a != 1 add p*(p-2) and
+    p*phi(d)*(f(d) - 1) per divisor 1 < d <= N of p-1: p-1 is never
+    factored, and phi(d) is read off d.
     """
-    q = p - 2
-    total = 0
-    for m in range(1, slots):
-        for k in range(1, min(m, slots - m) + 1):
-            r = slots - m - k
-            if q == 0:
-                total += r == 0
-                continue
-            total += sum(
-                (-1) ** i * comb(q, i) * comb(r - i * (k + 1) + q - 1, q - 1)
-                for i in range(r // (k + 1) + 1)
-            )
-    return total
+    ensure_prime(p)
+    N = _check_dimension(n) + 2
+    total = comb(p + N - 1, N) + (p - 1) * (N % p == 0) + p * (p - 2)
+    for d in range(2, min(N, p - 1) + 1):
+        if (p - 1) % d == 0:
+            phi = sum(gcd(k, d) == 1 for k in range(d))
+            total += p * phi * (comb(N // d + (p - 1) // d, N // d) - 1)
+    return total // (p * (p - 1)) - 1
 
 
 def _chain_multisets(p: int, n: int):
@@ -306,30 +292,42 @@ def _chain_multisets(p: int, n: int):
 def enumerate_orbits(
     p: int, n: int, strategy: str = "exhaustive", budget: int = 10**8
 ) -> list[Signature]:
-    """Canonical representatives of all nonzero signature classes.
+    """Canonical representatives of all nonzero signature classes, sorted.
 
-    exhaustive walks the multisets 0^m 1^k + rest of
-    _lead_shaped_multisets, which hold the canonical vector of every orbit
-    (complete).  It requires its own work to fit the budget: the walk's
-    multisets times the (n+2)(n+1) lead-block candidates each may build,
-    counted in closed form before the walk starts.  chain_pruned,
-    for p > 3, emits exactly the classes satisfying the closed-value-set
-    necessary condition; it is a superset of the classes carrying a smooth
-    invariant form and stays tractable for the large primes where
-    exhaustive enumeration cannot run.
+    exhaustive walks _lead_shaped_multisets, which hold the canonical vector
+    of every orbit, each a lead-block member of its own orbit: handled, the
+    lead-block members of the orbits seen, makes one _lead_blocks call per
+    class.  So orbit_count classes times the (n+2)(n+1) candidates of each
+    bound its work, which must fit the budget, and a walk that emits other
+    than orbit_count classes raises RuntimeError.  chain_pruned, for p > 3,
+    emits exactly the classes satisfying the closed-value-set necessary
+    condition: a superset of the classes carrying a smooth invariant form,
+    tractable at the large primes where exhaustive cannot run.  No walk
+    yields a constant vector (a lead-shaped multiset holds 0 and 1, a chain
+    multiset the ell >= 2 values of the coset of 1), so no class is zero.
     """
     ensure_prime(p)
     _check_dimension(n)
     if strategy == "exhaustive":
-        work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
+        count = orbit_count(p, n)
+        work = count * (n + 2) * (n + 1)
         if work > budget:
             hint = "use the chain_pruned strategy" if p > 3 else "no pruning at p <= 3"
             raise IncompleteError(
                 f"{work} lead-block candidates exceed budget {budget}; {hint}"
             )
-        return _emit_classes(p, _lead_shaped_multisets(p, n + 2))
-    if strategy == "chain_pruned":
+        handled, classes = set(), []
+        for vals in _lead_shaped_multisets(p, n + 2):
+            if vals not in handled:
+                orbit = set(_lead_blocks(p, vals))
+                handled |= orbit
+                classes.append(min(orbit))
+        if len(classes) != count:
+            raise RuntimeError(f"walk emitted {len(classes)} classes, not {count}")
+    elif strategy == "chain_pruned":
         if p <= 3:
             raise ValueError("chain_pruned requires p > 3")
-        return _emit_classes(p, _chain_multisets(p, n))
-    raise ValueError(f"unknown strategy {strategy!r}")
+        classes = {_canonical_values(p, v) for v in _chain_multisets(p, n)}
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return [Signature(p, v) for v in sorted(classes)]

@@ -29,11 +29,11 @@ from cubiclass.signatures import (
     IncompleteError,
     Signature,
     _canonical_values,
-    _lead_shaped_count,
     canonicalize,
     enumerate_orbits,
     equivalent,
     family_key,
+    orbit_count,
 )
 from cubiclass import smoothness
 from cubiclass.smoothness import DEFAULT_MODULI, find_smooth_member, is_smooth_mod_q
@@ -150,7 +150,7 @@ def test_resolve_strategy_reads_p_and_n_only():
         assert _resolve_strategy(2, n) == _resolve_strategy(3, n) == "exhaustive"
         for p in admissible_primes(n):
             if _resolve_strategy(p, n) == "exhaustive":
-                work = _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1)
+                work = orbit_count(p, n) * (n + 2) * (n + 1)
                 assert work <= 10**8, (p, n, work)
 
 
@@ -354,9 +354,10 @@ def test_fermat_order_classes_at_3_are_every_nonzero_class(n):
 
 def test_fermat_realizes_past_the_orbit_walk_budget():
     # From n = 183 enumerate_orbits(3, n) exceeds its budget; the formula
-    # does not walk.
+    # does not walk, and it lists every class that orbit_count counts.
     assert fermat_realizes(183, 3, (0,) * 184 + (1,), 0) is True
     assert fermat_realizes(183, 3, (0,) * 185, 0) is False
+    assert len(fermat_order_classes(183)[3]) == orbit_count(3, 183) == 2944
 
 
 def test_fermat_realizes_threefolds():

@@ -283,6 +283,15 @@ def test_smooth_rejects_malformed_term_entries(tmp_path, terms):
     assert text.startswith("error: bad term entry") and text.count("\n") == 1
 
 
+def test_smooth_rejects_deeply_nested_json(tmp_path):
+    # json.loads raises RecursionError here, which is bad input, not a crash.
+    path = tmp_path / "form.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, text = run_cli("smooth", str(path))
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
 # Full stdout of spectrum --klein 3 and --klein 5, byte for byte.
 SPECTRUM_KLEIN3 = (
     '{\n'

@@ -19,9 +19,10 @@ from cubiclass.signatures import (
     family_key,
     scaling_canonical,
     _chain_multisets,
-    _lead_shaped_count,
     _lead_shaped_multisets,
+    orbit_count,
 )
+from cubiclass import signatures
 
 
 def sorting_action(sig):
@@ -71,6 +72,24 @@ def test_signature_refuses_non_integers():
     with pytest.raises(ValueError):
         Signature(5, [0, True, 2, 3])
     assert Signature(5, [0, 6, -1, 3]).values == (0, 1, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "a, b, perm",
+    [
+        (1.5, 0, range(5)),
+        (2, 0.0, range(5)),
+        (True, 0, range(5)),
+        (1, False, range(5)),
+        (1, 0, [0.0, 1.0, 2.0, 3.0, 4.0]),
+        (1, 0, [0, True, 2, 3, 4]),
+    ],
+    ids=repr,
+)
+def test_action_refuses_non_integers(a, b, perm):
+    # A float is not reduced mod p, and a boolean is not read as 0 or 1.
+    with pytest.raises(ValueError, match="a, b and perm must be integers"):
+        AffinePermAction(5, a, b, perm)
 
 
 def test_act_modulus_mismatch():
@@ -310,7 +329,10 @@ def test_enumerate_against_orbit_partition():
 
 
 def burnside_orbit_count(p, n):
-    """Nonzero orbits of AGL(1, p) on (n+2)-multisets of Z/p (cycle index)."""
+    """Nonzero orbits of AGL(1, p) on (n+2)-multisets of Z/p (cycle index).
+
+    A reference for signatures.orbit_count: it walks every a in F_p^* and
+    finds each order by repeated multiplication."""
     N = n + 2
     total = comb(p + N - 1, N)  # identity
     if N % p == 0:
@@ -336,6 +358,7 @@ def burnside_orbit_count(p, n):
 )
 def test_enumerate_matches_burnside_count(p, n, count):
     assert burnside_orbit_count(p, n) == count
+    assert orbit_count(p, n) == count
     assert len(enumerate_orbits(p, n, "exhaustive", 10**10)) == count
 
 
@@ -372,16 +395,84 @@ def test_enumerate_budget():
     "p, slots",
     [(2, 4), (2, 9), (3, 4), (3, 12), (5, 7), (7, 6), (11, 6), (17, 5), (43, 4)],
 )
-def test_lead_shaped_count_is_the_walk_length(p, slots):
-    assert _lead_shaped_count(p, slots) == sum(
-        1 for _ in _lead_shaped_multisets(p, slots)
+def test_lead_shaped_count_is_the_walk_length(p, slots, monkeypatch):
+    # The budget reads orbit_count: the walk calls _lead_blocks once per
+    # class, and it visits at least that many multisets, exactly that many
+    # at p <= 3, where every lead-shaped multiset is its own class.
+    walk = sum(1 for _ in _lead_shaped_multisets(p, slots))
+    count = orbit_count(p, slots - 2)
+    assert walk >= count and (walk == count or p > 3)
+    calls, lead_blocks = [], signatures._lead_blocks
+
+    def counting(p, vals, translate=True):
+        calls.append(vals)
+        return lead_blocks(p, vals, translate)
+
+    monkeypatch.setattr(signatures, "_lead_blocks", counting)
+    assert len(enumerate_orbits(p, slots - 2)) == len(calls) == count
+
+
+def test_exhaustive_walk_raises_on_a_missed_class(monkeypatch):
+    # (0, 0, 0, 0, 0, 1) is the only lead-shaped member of its class, so a
+    # walk without it emits 78 of the 79 classes.  That is a fault, not an
+    # incomplete answer, so it is no IncompleteError (exit 3 in the CLI).
+    walk = signatures._lead_shaped_multisets
+    monkeypatch.setattr(
+        signatures,
+        "_lead_shaped_multisets",
+        lambda p, slots: (v for v in walk(p, slots) if v != (0, 0, 0, 0, 0, 1)),
     )
+    with pytest.raises(RuntimeError, match="walk emitted 78 classes, not 79") as info:
+        enumerate_orbits(11, 4)
+    assert not isinstance(info.value, IncompleteError)
+
+
+def test_orbit_count_matches_brute_force_orbits():
+    # Every (n+2)-multiset of Z/p under all p(p-1) maps x -> a*x + b.
+    for p in (2, 3, 5, 7):
+        for slots in (4, 5, 6):
+            seen, orbits = set(), 0
+            for c in combinations_with_replacement(range(p), slots):
+                if c not in seen:
+                    orbits += 1
+                    seen |= {
+                        tuple(sorted((a * v + b) % p for v in c))
+                        for a in range(1, p)
+                        for b in range(p)
+                    }
+            assert orbit_count(p, slots - 2) == orbits - 1, (p, slots)
+
+
+def test_orbit_count_at_p2_and_the_exit_3_thresholds():
+    # At p = 2 the classes are 0^(n+2-k) 1^k, 1 <= k <= (n+2)/2.  The least
+    # n whose walk exceeds the default budget of 10^8 lead-block candidates
+    # is the README's: 183 at p = 3 and 584 at p = 2.
+    for n in range(2, 601):
+        assert orbit_count(2, n) == (n + 2) // 2
+    for p, first in ((3, 183), (2, 584)):
+        over = [orbit_count(p, n) * (n + 2) * (n + 1) > 10**8 for n in range(2, 700)]
+        assert over.index(True) + 2 == first
+
+
+def test_orbit_count_is_the_exhaustive_class_count():
+    # Every prime the classifier walks exhaustively at n <= 16, and the
+    # small primes at n <= 5 (61 pairs, 52 distinct).
+    cases = {(p, n) for p in (5, 7, 11, 13) for n in range(2, 6)}
+    for n in range(2, 17):
+        cases |= {
+            (p, n)
+            for p in admissible_primes(n)
+            if _resolve_strategy(p, n) == "exhaustive"
+        }
+    assert len(cases) == 52
+    for p, n in sorted(cases):
+        assert orbit_count(p, n) == len(enumerate_orbits(p, n, "exhaustive")), (p, n)
 
 
 def test_exhaustive_budget_bounds_the_walk_not_the_raw_signatures():
-    # 3^17 raw signatures exceed the default budget, but the walk has 32
-    # multisets; a walk larger than the budget is still refused.
-    assert _lead_shaped_count(3, 17) == 32
+    # 3^17 raw signatures exceed the default budget, but there are 32
+    # classes; a walk larger than the budget is still refused.
+    assert orbit_count(3, 15) == 32
     assert len(enumerate_orbits(3, 15, "exhaustive")) == burnside_orbit_count(3, 15)
     work = 32 * 17 * 16
     assert enumerate_orbits(3, 15, "exhaustive", budget=work)
@@ -403,13 +494,11 @@ def test_chain_pruned_rejects_small_p():
 
 
 def exhaustive_cases():
-    """Every admissible p > 3 and n <= 7 whose exhaustive walk is at most 2e6
-    lead-block candidates."""
+    """Admissible p > 3 at n <= 7 with a small exhaustive walk: the 16 pairs
+    whose lead-shaped multisets times (n+2)(n+1) are at most 2e6."""
     return [
-        (p, n)
-        for n in range(2, 8)
-        for p in admissible_primes(n)
-        if p > 3 and _lead_shaped_count(p, n + 2) * (n + 2) * (n + 1) <= 2 * 10**6
+        (5, 2), (5, 3), (11, 3), (5, 4), (7, 4), (11, 4), (5, 5), (7, 5),
+        (11, 5), (5, 6), (7, 6), (11, 6), (17, 6), (5, 7), (7, 7), (11, 7),
     ]
 
 
