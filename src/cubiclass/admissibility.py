@@ -19,8 +19,10 @@ _MR_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin primality test for m below psi_13 (about
-    3.3e24); raises ValueError from psi_13 up."""
+    """Deterministic Miller-Rabin primality test for an int m below psi_13
+    (about 3.3e24); raises ValueError from psi_13 up and on a non-int."""
+    if type(m) is not int:
+        raise ValueError(f"primality is decided for integers only, got {m!r}")
     if m >= _MR_BOUND:
         raise ValueError(f"{m} is beyond the deterministic primality range")
     if m < 2:
@@ -48,7 +50,7 @@ def is_prime(m: int) -> bool:
 
 
 def ensure_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
+    if type(p) is not int or not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p!r}")
     return p
 

@@ -13,13 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .admissibility import _check_weight, admissible_primes, is_admissible, is_prime
+from .admissibility import _check_dimension, admissible_primes, is_admissible, is_prime
 from .forms import (
     coordinate_subspace_obstruction,
     eigenspace_basis,
-    lemma_feasible_weights,
+    lemma_base_feasible,
 )
-from .signatures import Signature, _canonical_values, enumerate_orbits, family_key
+from .signatures import Signature, _lead_shaped_multisets, enumerate_orbits, family_key
 from .smoothness import find_smooth_member
 
 
@@ -97,10 +97,11 @@ _LABELS = {
 def _process_class(class_sig: Signature):
     """Accept or reject one signature class; the verdict depends on sigma alone.
 
-    A weight is searched when the lemma filter accepts it (it is one of
-    lemma_feasible_weights) and carries no coordinate-subspace obstruction,
-    which by that criterion is exactly when its general member is smooth.
-    A class with no searched weight is rejected as lemma_base or
+    A weight is searched when lemma_base_feasible accepts it and
+    coordinate_subspace_obstruction finds no obstruction, which by that
+    criterion is exactly when its general member is smooth; the lemma needs
+    a - 2*sigma_0 among the values, so only those a are tried.  A class
+    with no searched weight is rejected as lemma_base or
     coordinate_subspace, both proofs.  Searched weights that describe the
     same family share a family_key, and each distinct key becomes one
     record, whose sigma and weight are the key and whose witness is the
@@ -108,7 +109,8 @@ def _process_class(class_sig: Signature):
     with the eigenspace basis.  Returns (records, rejected record or None).
     """
     p, n = class_sig.p, class_sig.n
-    feasible = lemma_feasible_weights(class_sig)
+    candidates = {(w + 2 * class_sig.values[0]) % p for w in class_sig.values}
+    feasible = [a for a in candidates if lemma_base_feasible(class_sig, a)[0]]
     searched = [
         a for a in feasible if coordinate_subspace_obstruction(class_sig, a) is None
     ]
@@ -192,7 +194,7 @@ def classify_all(n: int) -> dict:
 # Fermat membership: which families contain the Fermat n-fold.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fermat_order_classes(n: int) -> dict:
     """For each prime p, the signature classes realized inside the Fermat
     symmetry group mu_3^(n+2)/mu_3 x| S_(n+2) (Matsumura-Monsky, J. Math.
@@ -201,10 +203,9 @@ def fermat_order_classes(n: int) -> dict:
 
     * p = 3.  With w a primitive cube root of unity, the diagonal element
       with cube roots w^e_i has signature e, scalar exactly when e is
-      constant, so every nonzero class of F_3^(n+2) occurs.  AGL(1, 3)
-      permutes {0, 1, 2} as the whole of S_3, so a class is its sorted
-      multiplicity triple: every 0^a 1^b 2^c with a >= b >= c, b >= 1 and
-      a + b + c = n + 2.
+      constant, so every nonzero class of F_3^(n+2) occurs.  AGL(1, 3) is
+      all of S_3 on {0, 1, 2}, so they are the lead-shaped multisets
+      0^a 1^b 2^c, a >= b >= c, b >= 1, that enumerate_orbits walks.
     * p != 3.  g^p is scalar only when its permutation is, so every cycle
       has length 1 or p.  On a p-cycle whose cube roots multiply to w^s,
       g^p is w^s, so the eigenvalues are t*zeta_p^j, j < p, with t the cube
@@ -213,35 +214,36 @@ def fermat_order_classes(n: int) -> dict:
       root of unity only when it is 1, so g has order p exactly when every
       block shares t and some cycle is a p-cycle.  Dividing by t, the
       signature is 0^(n+2-kp) (0, ..., p-1)^k for k p-cycles,
-      1 <= k <= (n+2)/p, and k plain p-cycles realize each of them.
+      1 <= k <= (n+2)/p, and k plain p-cycles realize each of them.  Sorted,
+      it is canonical: 0 has the top multiplicity and all else has k.
     """
-    m = n + 2
-    classes = {3: frozenset(
-        (0,) * a + (1,) * b + (2,) * (m - a - b)
-        for a in range(m) for b in range(1, a + 1) if 0 <= m - a - b <= b
-    )}
+    m = _check_dimension(n) + 2
+    classes = {3: frozenset(_lead_shaped_multisets(3, m))}
     for p in range(2, m + 1):
         if p != 3 and is_prime(p):
             classes[p] = frozenset(
-                _canonical_values(p, (0,) * (m - k * p) + tuple(range(p)) * k)
+                tuple(sorted((0,) * (m - k * p) + tuple(range(p)) * k))
                 for k in range(1, m // p + 1)
             )
     return classes
 
 
 def fermat_realizes(n: int, p: int, values, weight: int) -> bool:
-    """Does the Fermat n-fold admit an automorphism with this class and weight?
+    """Is (values, weight) the family of a Fermat symmetry fixing the form?
 
-    Every Fermat symmetry fixes the form exactly (cube-root scalings fix the
-    cubes), so only weight 0 can match.
+    Such an element, divided by the t of fermat_order_classes, has a pair
+    (sigma, 0) with sigma a listed class c (a translate of c at p = 3, where
+    translations keep weight 0).  Powers and scalar multiples,
+    (l*pi(sigma) + b, 3b), give the rest of the family, and each listed c
+    is its own weight-0 family_key, so the family_key alone decides.  Not
+    counted: when n + 2 = 3k, k 3-cycles whose cube roots multiply to one
+    w != 1 on each cycle scale the form and realize (0^k 1^k 2^k, 1) too.
     """
-    values = Signature(p, values).values
-    if len(values) != n + 2:
+    sig = Signature(p, values)
+    if len(sig.values) != n + 2:
         raise ValueError(f"a signature in dimension {n} has {n + 2} entries")
-    if _check_weight(weight) % p != 0:
-        return False
-    classes = fermat_order_classes(n)
-    return _canonical_values(p, values) in classes.get(p, frozenset())
+    w, key = family_key(sig, weight)
+    return w == 0 and key in fermat_order_classes(n).get(p, ())
 
 
 def fermat_membership(n: int, family: FamilyRecord) -> bool:

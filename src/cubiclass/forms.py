@@ -125,20 +125,6 @@ def lemma_base_feasible(sig: Signature, a: int):
     return True, None
 
 
-def lemma_feasible_weights(sig: Signature) -> list:
-    """The weights a that lemma_base_feasible accepts, in increasing order.
-
-    It accepts a exactly when a - 2v is a value of sigma for every value
-    v, that is when a lies in values + 2v for every v; so the weights are
-    the intersection of those translates, at most #values of them, read
-    off without trying every a in range(p).
-    """
-    p = sig.p
-    values = set(sig.values)
-    translates = ({(w + 2 * v) % p for w in values} for v in values)
-    return sorted(set.intersection(*translates))
-
-
 def invertible_member(sig: Signature, a: int):
     """Monomials x_i^2 x_j(i), one per variable i, of an invertible
     polynomial in the weight-a eigenspace, or None when there is none.

@@ -72,7 +72,9 @@ def jacobian_ring_character(F: CubicForm, sig: Signature, d: int) -> SpectrumSet
 
 
 def is_stable_under(S: SpectrumSet, m: int) -> bool:
-    """Is the exponent multiset fixed by e -> m*e mod p?"""
+    """Is the exponent multiset fixed by e -> m*e mod p, m an int coprime to p?"""
+    if type(m) is not int:
+        raise ValueError(f"multiplier must be an integer, got {m!r}")
     if gcd(m, S.p) != 1:
         raise ValueError("multiplier must be coprime to p")
     scaled = sorted(m * e % S.p for e in S.exponents)

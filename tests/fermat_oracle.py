@@ -12,7 +12,8 @@ decreasing cost:
   multiset of per-cycle exponent sums mod 3.
 
 Each returns p -> frozenset of canonical value tuples, the shape of
-fermat_order_classes.
+fermat_order_classes.  weighted_family_keys walks every element again and
+keeps the weight of each lift, so it returns p -> family_keys instead.
 """
 
 from collections import Counter
@@ -21,7 +22,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import gcd, lcm
 
 from cubiclass.admissibility import is_prime
-from cubiclass.signatures import _canonical_values
+from cubiclass.signatures import Signature, _canonical_values, family_key
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,11 @@ def cycles(perm):
     return out
 
 
-def element_order_and_signature(el: FermatGroupElement):
-    """Projective order, and the signature when that order is prime.
-
-    Eigenvalues come blockwise from the permutation cycles; their exponents
-    are exact rationals with denominator 3*lcm(cycle lengths), so the order
-    and the signature (the eigenvalue ratios as powers of a primitive root
-    of unity) are computed without any floating point.
-
-    Returns (order, sigma values tuple or None).
-    """
+def _eigen_exponents(el: FermatGroupElement):
+    """(nums, D): the eigenvalues of el are exp(2 pi i k / D), k in nums,
+    with D = 3*lcm(cycle lengths).  A cycle of length m whose cube-root
+    exponents sum to s has the m-th roots of w^s, exponents
+    (s + 3j)*(D/3m)."""
     cyc = cycles(el.perm)
     L = lcm(*(len(c) for c in cyc))
     D = 3 * L
@@ -71,6 +67,20 @@ def element_order_and_signature(el: FermatGroupElement):
         step = 3 * (L // m)
         for j in range(m):
             nums.append((base + step * j) % D)
+    return nums, D
+
+
+def element_order_and_signature(el: FermatGroupElement):
+    """Projective order, and the signature when that order is prime.
+
+    Eigenvalues come blockwise from the permutation cycles; their exponents
+    are exact rationals with denominator 3*lcm(cycle lengths), so the order
+    and the signature (the eigenvalue ratios as powers of a primitive root
+    of unity) are computed without any floating point.
+
+    Returns (order, sigma values tuple or None).
+    """
+    nums, D = _eigen_exponents(el)
     diffs = [(x - nums[0]) % D for x in nums]
     g = D
     for d in diffs:
@@ -80,6 +90,30 @@ def element_order_and_signature(el: FermatGroupElement):
         return order, None
     p = order
     return p, tuple(d * p // D % p for d in diffs)
+
+
+def element_weight(el: FermatGroupElement, p: int) -> int:
+    """The weight of el's lift h = el / mu_0, mu_0 its first eigenvalue,
+    whose signature element_order_and_signature returns.  el fixes the
+    Fermat form exactly, so F(h x) = mu_0^-3 F(x); with
+    mu_0 = exp(2 pi i k / D), D = 3L and L | p, that is zeta_p^(-k*p/L)."""
+    nums, D = _eigen_exponents(el)
+    return -nums[0] * p // (D // 3) % p
+
+
+def weighted_family_keys(n: int) -> dict:
+    """Every element of the group: p -> the family_keys of the pairs
+    (sigma, weight) of its elements of prime order p."""
+    m = n + 2
+    keys = {}
+    for perm in permutations(range(m)):
+        for exps in product((0, 1, 2), repeat=m):
+            el = FermatGroupElement(perm, exps)
+            p, sig = element_order_and_signature(el)
+            if sig is not None:
+                key = family_key(Signature(p, sig), element_weight(el, p))
+                keys.setdefault(p, set()).add(key)
+    return keys
 
 
 def _collect(elements) -> dict:

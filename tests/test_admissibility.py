@@ -5,6 +5,7 @@ import pytest
 from cubiclass.admissibility import (
     _factor,
     admissible_primes,
+    ensure_prime,
     is_admissible,
     is_prime,
     max_admissible_prime,
@@ -37,6 +38,15 @@ def test_is_prime_basics():
         assert is_prime(m)
     for m in (0, 1, 4, 9, 91, 561, 1105, 43691 * 3, 2731 * 2731):
         assert not is_prime(m)
+
+
+@pytest.mark.parametrize("m", [7.0, 2.0, True, False, "7"])
+def test_is_prime_refuses_non_integers(m):
+    # 7.0 is not read as 7, nor True as 1.
+    with pytest.raises(ValueError, match="integers only"):
+        is_prime(m)
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        ensure_prime(m)
 
 
 # The least strong pseudoprimes to the first 12 and 13 prime bases.

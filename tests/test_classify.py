@@ -1,5 +1,6 @@
 import json
 import sys
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,6 @@ from cubiclass.forms import (
     coordinate_subspace_obstruction,
     eigenspace_basis,
     lemma_base_feasible,
-    lemma_feasible_weights,
     weight_of,
 )
 from cubiclass.signatures import (
@@ -43,6 +43,7 @@ from fermat_oracle import (
     cycle_type_sweep,
     element_order_and_signature,
     element_sweep,
+    weighted_family_keys,
 )
 from form_helpers import family_dimension
 
@@ -114,15 +115,51 @@ def test_every_class_accounted_for():
     assert seen == expected
 
 
-def test_lemma_feasible_weights_match_the_lemma_sweep():
-    # The intersection of the translates values + 2v is exactly the set
-    # of weights lemma_base_feasible accepts, for every class classify
-    # walks at every admissible prime.
+def test_process_class_keeps_exactly_the_lemma_sweep(monkeypatch):
+    # Every weight lemma_base_feasible accepts in a range(p) sweep lies in
+    # values + 2*sigma_0, and _process_class keeps exactly those, for every
+    # class classify walks at every admissible prime.
+    classify_mod = sys.modules["cubiclass.classify"]
+    kept = []
+
+    def recording_lemma(sig, a):
+        verdict = lemma_base_feasible(sig, a)
+        if verdict[0]:
+            kept.append(a)
+        return verdict
+
+    monkeypatch.setattr(classify_mod, "lemma_base_feasible", recording_lemma)
     for n in range(2, 7):
         for p in admissible_primes(n):
             for sig in enumerate_orbits(p, n, _resolve_strategy(p, n)):
                 swept = [a for a in range(p) if lemma_base_feasible(sig, a)[0]]
-                assert lemma_feasible_weights(sig) == swept, (p, sig.values)
+                translates = {(w + 2 * sig.values[0]) % p for w in sig.values}
+                assert set(swept) <= translates, (p, sig.values)
+                kept.clear()
+                classify_mod._process_class(sig)
+                assert sorted(kept) == swept, (p, sig.values)
+
+
+# The functions bench/tracing.py traces at classify's own bindings; each
+# must be called there, or its counters read 0.
+TRACED_VERDICTS = (
+    "lemma_base_feasible", "coordinate_subspace_obstruction", "find_smooth_member"
+)
+
+
+def test_classify_calls_the_traced_verdict_functions(monkeypatch):
+    classify_mod = sys.modules["cubiclass.classify"]
+    called = set()
+    for name in TRACED_VERDICTS:
+        real = getattr(classify_mod, name)
+
+        def recording(*args, real=real, name=name):
+            called.add(name)
+            return real(*args)
+
+        monkeypatch.setattr(classify_mod, name, recording)
+    classify_with_audit(3, 5)
+    assert called == set(TRACED_VERDICTS)
 
 
 # The admissible pairs with n <= 8 that classify walks chain-pruned.
@@ -348,8 +385,64 @@ def test_fermat_order_classes_match_cycle_sum_walk(n):
 
 @pytest.mark.parametrize("n", range(2, 31))
 def test_fermat_order_classes_at_3_are_every_nonzero_class(n):
-    # The p = 3 formula (sorted multiplicity triples) against the orbit walk.
+    # The p = 3 list (the lead-shaped multisets) against the orbit walk.
     assert fermat_order_classes(n)[3] == {c.values for c in enumerate_orbits(3, n)}
+
+
+def sorted_multiplicity_triples(m):
+    # Every 0^a 1^b 2^c with a >= b >= c, b >= 1 and a + b + c = m.
+    return frozenset(
+        (0,) * a + (1,) * b + (2,) * (m - a - b)
+        for a in range(m) for b in range(1, a + 1) if 0 <= m - a - b <= b
+    )
+
+
+def test_fermat_order_classes_at_3_are_the_sorted_multiplicity_triples():
+    # Uncached: the tables for n = 2..200 together hold about 280 MB.
+    for n in range(2, 201):
+        classes = fermat_order_classes.__wrapped__(n)[3]
+        assert classes == sorted_multiplicity_triples(n + 2), n
+        assert len(classes) == orbit_count(3, n), n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fermat_realizes_matches_the_weighted_group_walk(n):
+    # Every non-constant sigma and every weight, at each prime with a
+    # Fermat symmetry of that order: True exactly for the families of the
+    # group's elements, each weighted by its lift.
+    keys = weighted_family_keys(n)
+    assert set(keys) == set(fermat_order_classes(n))
+    for p, realized in keys.items():
+        for vals in product(range(p), repeat=n + 2):
+            if len(set(vals)) == 1:
+                continue
+            for a in range(p):
+                expected = family_key(Signature(p, vals), a) in realized
+                assert fermat_realizes(n, p, vals, a) is expected, (p, vals, a)
+
+
+def test_fermat_realizes_answers_by_family():
+    # The lift -g of a transposition has sigma (1, 1, 1, 1, 0) and scales
+    # the form by -1: T_2^1 at weight 1, no family at weight 0.
+    assert fermat_realizes(3, 2, (1, 1, 1, 1, 0), 1) is True
+    assert fermat_realizes(3, 2, (1, 1, 1, 1, 0), 0) is False
+    # T_5^1 at weight 3, a scalar multiple of the 5-cycle.
+    assert family_key(Signature(5, (1, 2, 3, 4, 0)), 3) == (0, (0, 1, 2, 3, 4))
+    assert fermat_realizes(3, 5, (1, 2, 3, 4, 0), 3) is True
+
+
+def test_fermat_classes_are_their_own_weight_0_keys():
+    for n in range(2, 41):
+        for p, classes in fermat_order_classes(n).items():
+            for c in classes:
+                assert family_key(Signature(p, c), 0) == (0, c), (n, p, c)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3, 2.0, True, "4"])
+def test_fermat_order_classes_refuses_a_bad_dimension(n):
+    fermat_order_classes(2)  # a cached int must not answer for 2.0 or True
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        fermat_order_classes(n)
 
 
 def test_fermat_realizes_past_the_orbit_walk_budget():

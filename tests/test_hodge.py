@@ -226,6 +226,13 @@ def test_is_stable_under_rejects_zero():
         is_stable_under(spec, 10)
 
 
+@pytest.mark.parametrize("m", [True, 1.5, 11.0])
+def test_is_stable_under_refuses_non_integer_multipliers(m):
+    # True is not read as 1; a float raises ValueError, not gcd's TypeError.
+    with pytest.raises(ValueError, match="multiplier must be an integer"):
+        is_stable_under(SpectrumSet(43, (1, 11, 35)), m)
+
+
 def test_full_space_character_permutation_invariant():
     # The weight multiset of all degree-d monomials only depends on the
     # signature up to coordinate permutation.
