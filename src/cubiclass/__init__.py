@@ -14,7 +14,6 @@ from .admissibility import (
 )
 from .signatures import (
     AffinePermAction,
-    IncompleteError,
     Signature,
     act,
     canonicalize,

@@ -163,8 +163,8 @@ def _resolve_strategy(p: int, n: int) -> str:
 
 def classify_with_audit(n: int, p: int):
     """(accepted records, rejected classes, notes) for one prime; raises
-    IncompleteError, deciding nothing, when the orbit walk is over its budget
-    or no default modulus certifies a family's witness."""
+    ValueError when the orbit walk is over its budget, and RuntimeError
+    if no default modulus certifies a family's witness (a fault)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not is_admissible(p, n):

@@ -1,8 +1,9 @@
 """Command-line surface: tables, classification runs, smoothness checks,
 spectra, and golden-file regeneration.
 
-Exit codes: 0 success, 2 usage or input error, 3 partial classification,
-4 certified-singular witness, 5 inconclusive smoothness.
+Exit codes: 0 success, 2 usage or input error (an orbit walk over its
+budget included), 4 certified-singular witness, 5 inconclusive smoothness.
+A RuntimeError is a fault and is not mapped to an exit code.
 """
 
 import argparse
@@ -15,7 +16,6 @@ from .admissibility import admissible_primes, is_prime, max_admissible_prime
 from .classify import classify_with_audit
 from .forms import form_from_json
 from .hodge import is_stable_under, klein_tangent_spectrum
-from .signatures import IncompleteError
 from .smoothness import (
     DEFAULT_MODULI,
     certify_smooth_over_Q,
@@ -26,7 +26,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_PARTIAL = 3
 EXIT_SINGULAR = 4
 EXIT_INCONCLUSIVE = 5
 
@@ -94,13 +93,8 @@ def _sigma_str(values) -> str:
 
 def _classification_document(n: int, primes, seed: int = 0):
     families, rejected, notes = [], [], []
-    partial = False
     for p in primes:
-        try:
-            acc, rej, why = classify_with_audit(n, p)
-        except IncompleteError as exc:
-            partial = True
-            acc, rej, why = [], [], [f"p={p}: incomplete: {exc}"]
+        acc, rej, why = classify_with_audit(n, p)
         families.extend(r.to_json() for r in acc)
         rejected.extend(r.to_json() for r in rej)
         notes.extend(why)
@@ -111,7 +105,7 @@ def _classification_document(n: int, primes, seed: int = 0):
         "notes": notes,
         "seed": seed,
     }
-    return doc, partial
+    return doc
 
 
 def _render_classification(doc, fmt: str, out):
@@ -145,9 +139,9 @@ def cmd_classify(args, out) -> int:
         primes = [args.p]
     else:
         primes = list(admissible_primes(args.n))
-    doc, partial = _classification_document(args.n, primes, args.seed)
+    doc = _classification_document(args.n, primes, args.seed)
     _render_classification(doc, args.format, out)
-    return EXIT_PARTIAL if partial else EXIT_OK
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,7 @@ def _golden_documents():
         }
     )
     for n in range(2, 9):
-        doc, _ = _classification_document(n, list(admissible_primes(n)))
+        doc = _classification_document(n, list(admissible_primes(n)))
         yield f"classify_n{n}.json", _dump(doc)
 
 

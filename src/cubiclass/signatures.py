@@ -18,12 +18,6 @@ from .admissibility import (
 )
 
 
-class IncompleteError(RuntimeError):
-    """An incomplete answer, for one of two causes: an exhaustive orbit walk
-    over its enumeration budget, or a smooth family's witness that no
-    default modulus certifies.  Either way nothing is decided for the prime."""
-
-
 class Signature:
     """Length n+2 vector of residues mod p; entries must be ints and are
     reduced on construction."""
@@ -205,11 +199,14 @@ def _lead_shaped_multisets(p: int, slots: int):
 
     The canonical vector of every nonzero orbit has this shape (see
     _lead_blocks), and each such multiset is a lead-block member of its
-    own orbit.
+    own orbit.  A rest of r > k*(p - 2) values cannot exist, as each of the
+    p - 2 values comes at most k times, so that (m, k) is skipped unbuilt.
     """
     for m in range(1, slots):
         for k in range(1, min(m, slots - m) + 1):
             r = slots - m - k
+            if r > k * (p - 2):
+                continue
             head = (0,) * m + (1,) * k
             if k == 1:
                 rests = combinations(range(2, p), r)
@@ -298,13 +295,16 @@ def enumerate_orbits(
     of every orbit, each a lead-block member of its own orbit: handled, the
     lead-block members of the orbits seen, makes one _lead_blocks call per
     class.  So orbit_count classes times the (n+2)(n+1) candidates of each
-    bound its work, which must fit the budget, and a walk that emits other
-    than orbit_count classes raises RuntimeError.  chain_pruned, for p > 3,
-    emits exactly the classes satisfying the closed-value-set necessary
-    condition: a superset of the classes carrying a smooth invariant form,
-    tractable at the large primes where exhaustive cannot run.  No walk
-    yields a constant vector (a lead-shaped multiset holds 0 and 1, a chain
-    multiset the ell >= 2 values of the coset of 1), so no class is zero.
+    bound its work.  A walk over the budget is input out of range and
+    raises ValueError before it starts; one that emits other than
+    orbit_count classes is a fault and raises RuntimeError.  budget stays
+    the fourth positional parameter for library callers that need a larger
+    walk.  chain_pruned, for p > 3, emits exactly the classes satisfying
+    the closed-value-set necessary condition: a superset of the classes
+    carrying a smooth invariant form, tractable at the large primes where
+    exhaustive cannot run.  No walk yields a constant vector (a lead-shaped
+    multiset holds 0 and 1, a chain multiset the ell >= 2 values of the
+    coset of 1), so no class is zero.
     """
     ensure_prime(p)
     _check_dimension(n)
@@ -313,8 +313,9 @@ def enumerate_orbits(
         work = count * (n + 2) * (n + 1)
         if work > budget:
             hint = "use the chain_pruned strategy" if p > 3 else "no pruning at p <= 3"
-            raise IncompleteError(
-                f"{work} lead-block candidates exceed budget {budget}; {hint}"
+            raise ValueError(
+                f"p={p}, n={n}: {work} lead-block candidates exceed budget "
+                f"{budget}; {hint}"
             )
         handled, classes = set(), []
         for vals in _lead_shaped_multisets(p, n + 2):

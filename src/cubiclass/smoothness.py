@@ -13,7 +13,7 @@ from math import comb, gcd
 
 from .admissibility import ensure_prime
 from .forms import CubicForm, invertible_member, partials
-from .signatures import IncompleteError, Signature
+from .signatures import Signature
 
 # Primes avoiding 2 and 3 (degree-3 differentiation constants must stay
 # units); the later entries guard against bad reduction of a single form.
@@ -350,7 +350,9 @@ def find_smooth_member(sig: Signature, a: int):
     eigenspace without one is exactly one with a coordinate-subspace
     obstruction (the lemma filter included): it has only singular members.
     Returns (monomials, certificate), or None when there is no invertible
-    member; raises IncompleteError if no default modulus certifies it.
+    member.  A member that no default modulus certifies raises
+    RuntimeError, a fault and not an input error: in fewer than 10006
+    variables it contradicts the proof below.
 
     The member is a disjoint sum of Fermat cubes, chains
     x_0^2 x_1 + ... + x_{m-1}^2 x_m + x_m^3 and loops
@@ -373,5 +375,5 @@ def find_smooth_member(sig: Signature, a: int):
     cert = certify_smooth_over_Q(F)
     if cert is None:
         why = f"no witness certified at moduli {list(DEFAULT_MODULI)} for family"
-        raise IncompleteError(f"{why} {sig.values} at weight {a}")
+        raise RuntimeError(f"{why} {sig.values} at weight {a}")
     return monomials, cert

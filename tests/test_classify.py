@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from itertools import product
@@ -17,7 +18,7 @@ from cubiclass.classify import (
     fermat_realizes,
     normalizer_dim,
 )
-from cubiclass.cli import GOLDEN_DIR
+from cubiclass.cli import GOLDEN_DIR, main
 from cubiclass.forms import (
     CubicForm,
     coordinate_subspace_obstruction,
@@ -26,7 +27,6 @@ from cubiclass.forms import (
     weight_of,
 )
 from cubiclass.signatures import (
-    IncompleteError,
     Signature,
     _canonical_values,
     canonicalize,
@@ -140,8 +140,11 @@ def test_process_class_keeps_exactly_the_lemma_sweep(monkeypatch):
                 assert sorted(kept) == swept, (p, sig.values)
 
 
-# The functions bench/tracing.py traces at classify's own bindings; each
-# must be called there, or its counters read 0.
+# The verdict functions classify's pipeline reads at its own bindings.
+# bench/tracing.py traces lemma_base_feasible and find_smooth_member
+# there, whose counters read 0 unless classify calls them;
+# coordinate_subspace_obstruction is not traced, but each rejected
+# coordinate_subspace row rests on it.
 TRACED_VERDICTS = (
     "lemma_base_feasible", "coordinate_subspace_obstruction", "find_smooth_member"
 )
@@ -174,8 +177,8 @@ CHAIN_PRUNED = {
 def test_resolve_strategy_reads_p_and_n_only():
     # Exhaustive when p <= 3 or p^(n+2) <= 10^8.  Wherever that holds up to
     # n = 40 the walk is far inside enumerate_orbits' default budget; the
-    # budget first ends a classify run at n = 183 for p = 3 and n = 584 for
-    # p = 2 (see test_cli.test_classify_past_the_budget_is_partial).
+    # budget first makes a classify run exit 2 at n = 183 for p = 3 and
+    # n = 584 for p = 2 (see test_cli.test_classify_past_the_budget_exits_2).
     pruned = {
         (p, n)
         for n in range(2, 9)
@@ -253,15 +256,23 @@ def test_unobstructed_eigenspaces_have_certified_members(n, pairs):
 
 
 def test_witness_search_running_out_is_not_a_rejection(refuse_witnesses):
-    # No modulus certifies T_2^2; the run is incomplete rather than
-    # rejecting it, and the error names the family and the moduli tried.
-    refuse_witnesses((Signature(2, (0, 0, 0, 1, 1)), 0))
-    with pytest.raises(IncompleteError) as info:
-        classify_with_audit(3, 2)
-    assert str(info.value) == (
-        f"no witness certified at moduli {list(DEFAULT_MODULI)} for family "
-        "(0, 0, 0, 1, 1) at weight 0"
-    )
+    # No modulus certifies T_2^2 or F_7^1.  Below 10006 variables that
+    # contradicts find_smooth_member's proof, so it is a fault: a
+    # RuntimeError naming the family and the moduli tried, never a
+    # rejection, and no ValueError, which cli.main would turn into exit 2.
+    refused = ((3, 2, (0, 0, 0, 1, 1)), (4, 7, (1, 2, 3, 4, 5, 6)))
+    refuse_witnesses(*((Signature(p, values), 0) for _, p, values in refused))
+    moduli = f"no witness certified at moduli {list(DEFAULT_MODULI)} for family "
+    for n, p, values in refused:
+        with pytest.raises(RuntimeError) as info:
+            classify_with_audit(n, p)
+        assert not isinstance(info.value, ValueError)
+        assert str(info.value) == f"{moduli}{values} at weight 0"
+        out = io.StringIO()
+        with pytest.raises(RuntimeError) as info:
+            main(["classify", "--n", str(n), "--p", str(p)], out)
+        assert str(info.value) == f"{moduli}{values} at weight 0"
+        assert out.getvalue() == ""
 
 
 def test_each_witness_costs_one_certification(monkeypatch):

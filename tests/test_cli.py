@@ -10,7 +10,6 @@ import pytest
 
 from cubiclass.cli import GOLDEN_DIR, build_parser, main
 from cubiclass.forms import fermat, form_to_json, klein
-from cubiclass.signatures import Signature
 from cubiclass.smoothness import DEFAULT_MODULI
 
 
@@ -369,11 +368,10 @@ def test_no_command_usage():
     assert code == 2
 
 
-def test_classify_budget_exhaustion_partial(monkeypatch):
+def test_classify_budget_exhaustion_is_an_input_error(monkeypatch):
     # classify's walks fit the enumeration budget below n = 183 at p = 3
-    # (584 at p = 2), so a budget of 10 is forced here to reach the report
-    # of an exhausted one at small n: exit 3, nothing decided, an
-    # incomplete note.
+    # (584 at p = 2), so a budget of 10 is forced here to reach an
+    # exhausted one at small n: exit 2 and one error line, no document.
     classify_module = importlib.import_module("cubiclass.classify")
     real = classify_module.enumerate_orbits
 
@@ -382,55 +380,32 @@ def test_classify_budget_exhaustion_partial(monkeypatch):
 
     monkeypatch.setattr(classify_module, "enumerate_orbits", small_budget)
     # p <= 3 must be walked exhaustively: chain_pruned needs p > 3.
-    for argv in (("--n", "3", "--p", "5"), ("--n", "2", "--p", "3"), ("--n", "2", "--p", "2")):
-        code, text = run_cli("classify", *argv)
-        assert code == 3, argv
-        doc = json.loads(text)
-        assert doc["families"] == [] and doc["rejected"] == [], argv
-        (note,) = doc["notes"]
-        assert "incomplete" in note and "exceed budget 10" in note, argv
+    for n, p, hint in (
+        (3, 5, "use the chain_pruned strategy"),
+        (2, 3, "no pruning at p <= 3"),
+        (2, 2, "no pruning at p <= 3"),
+    ):
+        code, text = run_cli("classify", "--n", str(n), "--p", str(p))
+        assert code == 2, (n, p)
+        assert text.startswith(f"error: p={p}, n={n}: "), (n, p)
+        assert text.endswith(f" lead-block candidates exceed budget 10; {hint}\n")
+        assert text.count("\n") == 1, (n, p)
 
 
-def test_classify_past_the_budget_is_partial():
-    # At p = 3 the exhaustive walk needs 100,213,760 lead-block candidates
-    # from n = 183, past the default budget; the count is closed-form, so
-    # the run ends before any walk.  The note names no option.
-    code, text = run_cli("classify", "--n", "183", "--p", "3")
-    assert code == 3
-    doc = json.loads(text)
-    assert doc["families"] == [] and doc["rejected"] == []
-    (note,) = doc["notes"]
-    assert note.startswith("p=3: incomplete: 100213760 lead-block candidates")
-    assert "--" not in note
-
-
-def golden_families(n, p):
-    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
-    return [
-        (Signature(p, r["sigma"]), r["weight"]) for r in doc["families"] if r["p"] == p
-    ]
-
-
-MODULI_NOTE = "no witness certified at moduli [10007, 30011, 65537, 104729] for family "
-
-
-def test_classify_trials_exhaustion_partial(refuse_witnesses):
-    # The trials left are the default moduli, and none certifies T_2^1,
-    # T_2^2 or F_7^1.  A family left without a witness exits 3 and decides
-    # nothing for its prime: no rows, one incomplete note naming a refused
-    # family.
-    refused = {(3, 2): golden_families(3, 2), (4, 7): golden_families(4, 7)}
-    refuse_witnesses(*refused[3, 2], *refused[4, 7])
-    for (n, p), families in refused.items():
-        argv = ("--n", str(n), "--p", str(p))
-        code, text = run_cli("classify", *argv)
-        assert code == 3, argv
-        doc = json.loads(text)
-        assert doc["families"] == [], argv
-        assert doc["rejected"] == [], argv
-        (note,) = doc["notes"]
-        assert note.startswith(f"p={p}: incomplete: {MODULI_NOTE}"), argv
-        assert any(f"{sig.values} at weight {a}" in note for sig, a in families), argv
+def test_classify_past_the_budget_exits_2():
+    # From n = 183 at p = 3 and n = 584 at p = 2 the exhaustive walk needs
+    # more lead-block candidates than the default budget of 10^8; the count
+    # is closed-form, so the run ends at once, before any walk.  The error
+    # names no option.
+    for n, p, work in ((183, 3, 100213760), (584, 2, 100443330)):
+        start = time.perf_counter()
+        code, text = run_cli("classify", "--n", str(n), "--p", str(p))
+        assert time.perf_counter() - start < 1, (n, p)
+        assert code == 2, (n, p)
+        assert text == (
+            f"error: p={p}, n={n}: {work} lead-block candidates exceed budget "
+            "100000000; no pruning at p <= 3\n"
+        )
 
 
 def test_classify_has_no_moduli_option():
@@ -446,8 +421,8 @@ def test_classify_has_no_trials_option():
 
 
 def test_classify_has_no_strategy_or_budget_option():
-    # n and p alone choose the orbit walk, and the walks classify picks
-    # always fit the enumeration budget.
+    # n and p alone choose the orbit walk; a walk over the enumeration
+    # budget (from n = 183 at p = 3, n = 584 at p = 2) is an input error.
     code, _ = run_cli("classify", "--n", "3", "--strategy", "exhaustive")
     assert code == 2
     code, _ = run_cli("classify", "--n", "3", "--budget", "5")
@@ -525,8 +500,7 @@ def test_golden_classification_matches_fresh_run(n):
     # up here.
     from cubiclass.cli import _classification_document, _dump
     from cubiclass.admissibility import admissible_primes
-    doc, partial = _classification_document(n, list(admissible_primes(n)))
-    assert not partial
+    doc = _classification_document(n, list(admissible_primes(n)))
     assert _dump(doc) == (GOLDEN_DIR / f"classify_n{n}.json").read_text()
 
 

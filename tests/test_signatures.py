@@ -10,7 +10,6 @@ from cubiclass.classify import _resolve_strategy, fermat_order_classes, fermat_r
 from cubiclass.forms import CubicForm, lemma_base_feasible
 from cubiclass.signatures import (
     AffinePermAction,
-    IncompleteError,
     Signature,
     act,
     canonicalize,
@@ -387,8 +386,15 @@ def test_exhaustive_walk_is_exactly_the_lead_shaped_multisets():
 
 
 def test_enumerate_budget():
-    with pytest.raises(IncompleteError):
-        enumerate_orbits(11, 4, "exhaustive", budget=1000)
+    # Over budget is input out of range, named by p, n, the candidate
+    # count and the budget; the budget is still the fourth positional.
+    work = orbit_count(11, 4) * 6 * 5
+    with pytest.raises(ValueError) as info:
+        enumerate_orbits(11, 4, "exhaustive", 1000)
+    assert str(info.value) == (
+        f"p=11, n=4: {work} lead-block candidates exceed budget 1000; "
+        "use the chain_pruned strategy"
+    )
 
 
 @pytest.mark.parametrize(
@@ -415,7 +421,7 @@ def test_lead_shaped_count_is_the_walk_length(p, slots, monkeypatch):
 def test_exhaustive_walk_raises_on_a_missed_class(monkeypatch):
     # (0, 0, 0, 0, 0, 1) is the only lead-shaped member of its class, so a
     # walk without it emits 78 of the 79 classes.  That is a fault, not an
-    # incomplete answer, so it is no IncompleteError (exit 3 in the CLI).
+    # input error, so it is no ValueError (exit 2 in the CLI).
     walk = signatures._lead_shaped_multisets
     monkeypatch.setattr(
         signatures,
@@ -424,7 +430,7 @@ def test_exhaustive_walk_raises_on_a_missed_class(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="walk emitted 78 classes, not 79") as info:
         enumerate_orbits(11, 4)
-    assert not isinstance(info.value, IncompleteError)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_orbit_count_matches_brute_force_orbits():
@@ -443,7 +449,7 @@ def test_orbit_count_matches_brute_force_orbits():
             assert orbit_count(p, slots - 2) == orbits - 1, (p, slots)
 
 
-def test_orbit_count_at_p2_and_the_exit_3_thresholds():
+def test_orbit_count_at_p2_and_the_budget_thresholds():
     # At p = 2 the classes are 0^(n+2-k) 1^k, 1 <= k <= (n+2)/2.  The least
     # n whose walk exceeds the default budget of 10^8 lead-block candidates
     # is the README's: 183 at p = 3 and 584 at p = 2.
@@ -476,7 +482,7 @@ def test_exhaustive_budget_bounds_the_walk_not_the_raw_signatures():
     assert len(enumerate_orbits(3, 15, "exhaustive")) == burnside_orbit_count(3, 15)
     work = 32 * 17 * 16
     assert enumerate_orbits(3, 15, "exhaustive", budget=work)
-    with pytest.raises(IncompleteError, match=f"{work} lead-block"):
+    with pytest.raises(ValueError, match=f"p=3, n=15: {work} lead-block"):
         enumerate_orbits(3, 15, "exhaustive", budget=work - 1)
 
 
