@@ -19,12 +19,15 @@ _MR_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin primality test for an int m below psi_13
-    (about 3.3e24); raises ValueError from psi_13 up and on a non-int."""
+    """Miller-Rabin primality test on the first 13 prime bases.
+
+    False is a proof at any size: a failing base witnesses that m is
+    composite.  True is a proof below psi_13 (about 3.3e24); an m from
+    psi_13 up that passes every base is a probable prime this test cannot
+    certify, and raises ValueError, as does a non-int.
+    """
     if type(m) is not int:
         raise ValueError(f"primality is decided for integers only, got {m!r}")
-    if m >= _MR_BOUND:
-        raise ValueError(f"{m} is beyond the deterministic primality range")
     if m < 2:
         return False
     for w in _MR_WITNESSES:
@@ -46,6 +49,8 @@ def is_prime(m: int) -> bool:
                 break
         else:
             return False
+    if m >= _MR_BOUND:
+        raise ValueError(f"{m} is beyond the deterministic primality range")
     return True
 
 
@@ -55,13 +60,9 @@ def ensure_prime(p: int) -> int:
     return p
 
 
-_TRIAL_BOUND = 1000
-
-
 def _pollard_rho(m: int) -> int:
-    """A proper factor of the odd composite m with no prime factor below
-    _TRIAL_BOUND: Floyd cycle finding on x -> x^2 + c mod m, the next c
-    when a cycle closes mod m itself."""
+    """A proper factor of the odd composite m: Floyd cycle finding on
+    x -> x^2 + c mod m, the next c when a cycle closes mod m itself."""
     for c in count(1):
         x = y = 2
         g = 1
@@ -77,22 +78,17 @@ def _pollard_rho(m: int) -> int:
 def _factor(m: int) -> list[int]:
     """Distinct prime factors of m >= 1, increasing.
 
-    Inputs are |(-2)^l - 1| for l <= n + 2.
-    Divisors below _TRIAL_BOUND are tried first; a cofactor left is kept
-    when is_prime passes it and split by Pollard's rho otherwise, in an
-    expected number of steps about the square root of its least prime
-    factor.  So the cost is about the square root of the second-largest
-    prime factor, and is_prime raises ValueError on a cofactor from psi_13
-    up.
+    Inputs are |(-2)^l - 1| for l <= n + 2.  The factor 2 is divided out,
+    since rho need not split an even m (on 4 it never does).  Each odd
+    cofactor is kept when is_prime passes it and split by Pollard's rho
+    otherwise, in an expected number of steps about the square root of its
+    least prime factor; is_prime raises ValueError on a cofactor from
+    psi_13 up that it cannot prove prime or composite.
     """
     out = set()
-    d = 2
-    while d < _TRIAL_BOUND and d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
+    while m > 1 and m % 2 == 0:
+        out.add(2)
+        m //= 2
     rest = [m] if m > 1 else []
     while rest:
         c = rest.pop()

@@ -1,3 +1,4 @@
+import signal
 import time
 
 import pytest
@@ -52,22 +53,42 @@ def test_is_prime_refuses_non_integers(m):
 # The least strong pseudoprimes to the first 12 and 13 prime bases.
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
+# A composite factor of 2^91 + 1 past psi_13 (l = 91 enters at n = 89), and
+# the prime (2^101 + 1)/3, a factor of (-2)^101 - 1 (n = 99).
+COMPOSITE_AT_89 = 2731 * 224771 * 1210483 * 25829691707
+WAGSTAFF_101 = (2**101 + 1) // 3
 
 
 def test_is_prime_range():
-    # Bases up to 37 pass psi_12; base 41 rejects it, and psi_13, which
-    # base 41 passes too, is where the deterministic range ends.
+    # Bases up to 37 pass psi_12; base 41 rejects it.  psi_13 passes base 41
+    # too, so from psi_13 up a number that passes every base raises, while a
+    # failing base proves a number composite at any size.
     assert PSI_12 == 399165290221 * 798330580441
     assert not is_prime(PSI_12)
     assert is_prime(399165290221) and is_prime(798330580441)
-    for m in (PSI_13, PSI_13 + 2, 2 * PSI_13):
+    assert not is_prime(PSI_13 + 2) and not is_prime(2 * PSI_13)
+    assert not is_prime(COMPOSITE_AT_89)
+    for m in (PSI_13, WAGSTAFF_101):
         with pytest.raises(ValueError, match="deterministic"):
             is_prime(m)
 
 
+def test_is_prime_agrees_with_sympy_past_psi_13():
+    sympy = pytest.importorskip("sympy")
+    # Every composite past psi_13 is refuted; only a number that passes all
+    # 13 bases, prime or (like psi_13) not, raises.
+    composites = [PSI_13 * 1000003, 2**127 + 1, 2**256 + 1]
+    for m in composites + list(range(PSI_13 + 1, PSI_13 + 3000)):
+        if sympy.isprime(m):
+            with pytest.raises(ValueError, match="deterministic"):
+                is_prime(m)
+        else:
+            assert is_prime(m) is False, m
+
+
 def test_factor_stops_at_the_cofactor():
-    # Trial division stops below 1000, and the prime cofactor 1321 of
-    # 2^60 - 1 is kept by is_prime, not searched up to 2^30.
+    # Once 3, 5, ..., 331 are split off 2^60 - 1 by rho, the prime cofactor
+    # 1321 is kept by is_prime rather than searched further.
     t0 = time.perf_counter()
     assert _factor(2**60 - 1) == [3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]
     assert time.perf_counter() - t0 < 1.0
@@ -75,8 +96,35 @@ def test_factor_stops_at_the_cofactor():
     assert _factor(2 * 3 * 3 * 1321 * 1321) == [2, 3, 1321]
 
 
+def _trial_factor(m):
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
+def test_factor_matches_trial_division():
+    # Even m included: rho alone never splits 4, so a _factor that stopped
+    # dividing out 2 would hang; the alarm turns that into a failure.
+    def timeout(*_):
+        raise TimeoutError("_factor did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        for m in range(1, 20000):
+            assert _factor(m) == _trial_factor(m), m
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_factor_splits_large_cofactors():
-    # Trial division alone would run to 7e8 on the composite cofactor
+    # Trial division would run to 7e8 on the composite cofactor
     # 715827883 * 2147483647 of 2^62 - 1, which Pollard's rho splits, and to
     # 8.8e8 on the prime cofactor of 2^61 + 1, which is_prime keeps.
     t0 = time.perf_counter()
@@ -85,10 +133,25 @@ def test_factor_splits_large_cofactors():
     assert _factor(1000003 * 1000033 * 1009) == [1009, 1000003, 1000033]
     assert _factor(1000003**2 * 7) == [7, 1000003]
     assert admissible_primes(80)[-1] == 201487636602438195784363
+    # At n = 89 is_prime refutes the 26-digit composite cofactor
+    # COMPOSITE_AT_89, past psi_13, and rho splits it.
+    assert {2731, 224771, 1210483, 25829691707} <= set(admissible_primes(89))
     assert time.perf_counter() - t0 < 5.0
-    # from n = 89 a cofactor of (-2)^l - 1 reaches psi_13
-    with pytest.raises(ValueError, match="deterministic"):
-        admissible_primes(89)
+    # At n = 99 the prime cofactor (2^101 + 1)/3 of (-2)^101 - 1 is past
+    # psi_13, where a prime cannot be certified.
+    with pytest.raises(ValueError, match=str(WAGSTAFF_101)):
+        admissible_primes(99)
+
+
+def test_admissible_primes_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    # Sympy factors |(-2)^l - 1| by its own methods; the table for n is 2 and
+    # the prime factors for l <= n + 2.
+    primes = {2}
+    for ell in range(1, 101):
+        primes.update(sympy.primefactors(abs((-2) ** ell - 1)))
+        if ell >= 4:
+            assert set(admissible_primes(ell - 2)) == primes, ell - 2
 
 
 @pytest.mark.parametrize(

@@ -39,25 +39,30 @@ def test_admissible_range_max_only():
 
 
 def test_admissible_large_n():
-    # 2^62 - 1 has the cofactor 715827883 * 2147483647; from n = 89 a
-    # cofactor is past the deterministic primality range.
+    # 2^62 - 1 has the cofactor 715827883 * 2147483647; at n = 99 the prime
+    # cofactor (2^101 + 1)/3 is past the deterministic primality range.
     t0 = time.perf_counter()
     code, text = run_cli("admissible", "--n", "60", "--max-only", "--format", "csv")
     assert code == 0
     assert text == "60,768614336404564651\n"
     assert time.perf_counter() - t0 < 5.0
-    code, text = run_cli("admissible", "--n", "89")
+    t0 = time.perf_counter()
+    code, text = run_cli("admissible", "--n", "99")
+    assert time.perf_counter() - t0 < 5.0
     assert code == 2
-    assert text.startswith("error:")
+    assert text == (
+        "error: n=99: 845100400152152934331135470251"
+        " is beyond the deterministic primality range\n"
+    )
 
 
 def test_admissible_range_keeps_rows_before_an_error():
-    # n = 89 is past the primality range; the rows for 87 and 88 stay.
-    code, text = run_cli("admissible", "--range", "87..89", "--max-only", "--format", "csv")
+    # n = 99 is past the primality range; the rows for 97 and 98 stay.
+    code, text = run_cli("admissible", "--range", "97..99", "--max-only", "--format", "csv")
     assert code == 2
     rows = text.splitlines()
-    assert [r.split(",")[0] for r in rows[:2]] == ["87", "88"]
-    assert len(rows) == 3 and rows[2].startswith("error: n=89: ")
+    assert [r.split(",")[0] for r in rows[:2]] == ["97", "98"]
+    assert len(rows) == 3 and rows[2].startswith("error: n=99: ")
 
 
 def test_admissible_n_and_range_exclude_each_other(capsys):
@@ -134,10 +139,13 @@ def test_classify_inadmissible_huge_prime_at_once():
 
 
 def test_classify_rejects_pseudoprimes():
-    # psi_12 = 399165290221 * 798330580441 is composite; from psi_13 up no
-    # primality answer is given.
-    code, text = run_cli("classify", "--n", "3", "--p", "318665857834031151167461")
-    assert code == 2 and text == "error: --p 318665857834031151167461 is not prime\n"
+    # psi_12 = 399165290221 * 798330580441 is composite, and so is the
+    # 26-digit 2731 * 224771 * 1210483 * 25829691707 past psi_13: a failing
+    # base proves it at any size.  psi_13 passes every base, so from psi_13
+    # up such a number gets no primality answer.
+    for p in ("318665857834031151167461", "19192868826129926742622081"):
+        code, text = run_cli("classify", "--n", "3", "--p", p)
+        assert code == 2 and text == f"error: --p {p} is not prime\n"
     code, text = run_cli("classify", "--n", "3", "--p", "3317044064679887385961981")
     assert code == 2
     assert text.startswith("error:")
