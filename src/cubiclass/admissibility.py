@@ -62,7 +62,9 @@ def ensure_prime(p: int) -> int:
 
 def _pollard_rho(m: int) -> int:
     """A proper factor of the odd composite m: Floyd cycle finding on
-    x -> x^2 + c mod m, the next c when a cycle closes mod m itself."""
+    x -> x^2 + c mod m, the next c when a cycle closes mod m itself, in
+    about sqrt(least prime factor of m) steps.  m must be odd (rho never
+    splits 4); every divisor of (-2)^l - 1 is."""
     for c in count(1):
         x = y = 2
         g = 1
@@ -73,31 +75,6 @@ def _pollard_rho(m: int) -> int:
             g = gcd(x - y, m)
         if g != m:
             return g
-
-
-def _factor(m: int) -> list[int]:
-    """Distinct prime factors of m >= 1, increasing.
-
-    Inputs are |(-2)^l - 1| for l <= n + 2.  The factor 2 is divided out,
-    since rho need not split an even m (on 4 it never does).  Each odd
-    cofactor is kept when is_prime passes it and split by Pollard's rho
-    otherwise, in an expected number of steps about the square root of its
-    least prime factor; is_prime raises ValueError on a cofactor from
-    psi_13 up that it cannot prove prime or composite.
-    """
-    out = set()
-    while m > 1 and m % 2 == 0:
-        out.add(2)
-        m //= 2
-    rest = [m] if m > 1 else []
-    while rest:
-        c = rest.pop()
-        if is_prime(c):
-            out.add(c)
-        else:
-            f = _pollard_rho(c)
-            rest += [f, c // f]
-    return sorted(out)
 
 
 def _check_dimension(n: int) -> int:
@@ -135,13 +112,30 @@ def admissible_primes(n: int) -> tuple[int, ...]:
 
     Complete by the criterion itself: an odd prime p has (-2)^l = 1 mod p
     exactly when p divides (-2)^l - 1, so the odd admissible primes are the
-    prime factors of (-2)^l - 1 for l = 1, ..., n+2.  The bound p < 2^(n+1)
-    is a consequence, not an input.
+    prime factors of (-2)^l - 1 for l = 1, ..., n+2, and p < 2^(n+1)
+    follows.  The stack pops l = 1 first and keeps the parts rho splits on
+    top, so each l is factored before l + 1.  A popped number is stripped
+    of the primes in the table: a prime q of (-2)^l - 1 of order e < l
+    divides (-2)^e - 1, factored earlier, so what is left at l is a product
+    of primes of order exactly l.  Each prime is split off once, at its
+    order, and is_prime passes it once; it raises ValueError on a part from
+    psi_13 up that it cannot decide.
     """
     _check_dimension(n)
-    primes = {2}
-    for ell in range(1, n + 3):
-        primes.update(_factor(abs((-2) ** ell - 1)))
+    primes = [2]
+    stack = [abs((-2) ** ell - 1) for ell in range(n + 2, 0, -1)]
+    while stack:
+        m = stack.pop()
+        for p in primes:
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            continue
+        if is_prime(m):
+            primes.append(m)
+        else:
+            f = _pollard_rho(m)
+            stack += [f, m // f]
     return tuple(sorted(primes))
 
 

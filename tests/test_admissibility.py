@@ -3,8 +3,9 @@ import time
 
 import pytest
 
+from cubiclass import admissibility
 from cubiclass.admissibility import (
-    _factor,
+    _pollard_rho,
     admissible_primes,
     ensure_prime,
     is_admissible,
@@ -87,13 +88,18 @@ def test_is_prime_agrees_with_sympy_past_psi_13():
 
 
 def test_factor_stops_at_the_cofactor():
-    # Once 3, 5, ..., 331 are split off 2^60 - 1 by rho, the prime cofactor
-    # 1321 is kept by is_prime rather than searched further.
+    # Once 3, 5, ..., 331 are split off 2^60 - 1 = (-2)^60 - 1, the prime
+    # cofactor 1321 is kept by is_prime rather than searched further.
+    admissible_primes.cache_clear()
     t0 = time.perf_counter()
-    assert _factor(2**60 - 1) == [3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]
+    primes_2_60 = {3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321}
+    assert primes_2_60 <= set(admissible_primes(58))
     assert time.perf_counter() - t0 < 1.0
-    assert _factor(1) == [] and _factor(2**31 - 1) == [2**31 - 1]
-    assert _factor(2 * 3 * 3 * 1321 * 1321) == [2, 3, 1321]
+    # 2^31 - 1 divides 2^62 - 1 = (-2)^62 - 1 and is prime.
+    assert 2**31 - 1 in admissible_primes(60)
+    m = 3 * 3 * 1321 * 1321
+    f = _pollard_rho(m)
+    assert 1 < f < m and m % f == 0
 
 
 def _trial_factor(m):
@@ -108,16 +114,19 @@ def _trial_factor(m):
 
 
 def test_factor_matches_trial_division():
-    # Even m included: rho alone never splits 4, so a _factor that stopped
-    # dividing out 2 would hang; the alarm turns that into a failure.
+    # Every odd composite, as trial division finds them, gets a proper
+    # divisor from rho.  A rho that never returned on some m (as on 4) would
+    # hang; the alarm turns that into a failure.
     def timeout(*_):
-        raise TimeoutError("_factor did not return")
+        raise TimeoutError("_pollard_rho did not return")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(20)
     try:
-        for m in range(1, 20000):
-            assert _factor(m) == _trial_factor(m), m
+        for m in range(9, 20000, 2):
+            if _trial_factor(m) != [m]:
+                f = _pollard_rho(m)
+                assert 1 < f < m and m % f == 0, m
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -127,11 +136,13 @@ def test_factor_splits_large_cofactors():
     # Trial division would run to 7e8 on the composite cofactor
     # 715827883 * 2147483647 of 2^62 - 1, which Pollard's rho splits, and to
     # 8.8e8 on the prime cofactor of 2^61 + 1, which is_prime keeps.
+    admissible_primes.cache_clear()
     t0 = time.perf_counter()
-    assert _factor(2**62 - 1) == [3, 715827883, 2147483647]
-    assert _factor(2**61 + 1) == [3, 768614336404564651]
-    assert _factor(1000003 * 1000033 * 1009) == [1009, 1000003, 1000033]
-    assert _factor(1000003**2 * 7) == [7, 1000003]
+    assert {3, 715827883, 2147483647} <= set(admissible_primes(60))
+    assert 768614336404564651 in admissible_primes(59)
+    for m in (1000003 * 1000033 * 1009, 1000003**2 * 7):
+        f = _pollard_rho(m)
+        assert 1 < f < m and m % f == 0, m
     assert admissible_primes(80)[-1] == 201487636602438195784363
     # At n = 89 is_prime refutes the 26-digit composite cofactor
     # COMPOSITE_AT_89, past psi_13, and rho splits it.
@@ -141,6 +152,44 @@ def test_factor_splits_large_cofactors():
     # psi_13, where a prime cannot be certified.
     with pytest.raises(ValueError, match=str(WAGSTAFF_101)):
         admissible_primes(99)
+
+
+def test_each_prime_is_split_off_once(monkeypatch):
+    # Each number popped is stripped of the primes already found, so
+    # is_prime passes each odd prime of the table once and rho only splits
+    # products of primes of one order.  Handing each (-2)^l - 1 whole to the
+    # factoring re-splits the small primes: 164 passes and 122 rho calls.
+    passed, rho_calls = [], []
+
+    def counting_is_prime(m):
+        result = is_prime(m)
+        if result:
+            passed.append(m)
+        return result
+
+    def counting_rho(m):
+        rho_calls.append(m)
+        return _pollard_rho(m)
+
+    monkeypatch.setattr(admissibility, "is_prime", counting_is_prime)
+    monkeypatch.setattr(admissibility, "_pollard_rho", counting_rho)
+    admissible_primes.cache_clear()
+    try:
+        table = admissible_primes(40)
+    finally:
+        admissible_primes.cache_clear()
+    assert len(passed) == 49 and sorted(passed) == list(table[1:])
+    assert len(rho_calls) == 9
+
+
+def test_admissible_primes_match_trial_division():
+    # Sympy-free oracle: the table for n is 2 and the trial-division primes
+    # of |(-2)^l - 1| for l <= n + 2.
+    primes = {2}
+    for ell in range(1, 33):
+        primes.update(_trial_factor(abs((-2) ** ell - 1)))
+        if ell >= 4:
+            assert admissible_primes(ell - 2) == tuple(sorted(primes)), ell - 2
 
 
 def test_admissible_primes_agree_with_sympy():
