@@ -163,10 +163,9 @@ def _resolve_strategy(p: int, n: int) -> str:
 
 def classify_with_audit(n: int, p: int):
     """(accepted records, rejected classes, notes) for one prime; raises
-    ValueError when the orbit walk is over its budget, and RuntimeError
-    if no default modulus certifies a family's witness (a fault)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    ValueError when p is not prime (from is_admissible) or the orbit walk
+    is over its budget, and RuntimeError if no default modulus certifies a
+    family's witness (a fault)."""
     if not is_admissible(p, n):
         return [], [], [f"{p} not admissible in dimension {n}"]
     accepted, rejected = [], []
@@ -194,7 +193,7 @@ def classify_all(n: int) -> dict:
 # Fermat membership: which families contain the Fermat n-fold.
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def fermat_order_classes(n: int) -> dict:
     """For each prime p, the signature classes realized inside the Fermat
     symmetry group mu_3^(n+2)/mu_3 x| S_(n+2) (Matsumura-Monsky, J. Math.

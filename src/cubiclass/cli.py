@@ -150,14 +150,11 @@ def cmd_classify(args, out) -> int:
 
 def cmd_smooth(args, out) -> int:
     try:
-        payload = json.loads(Path(args.form).read_text())
-        F = form_from_json(payload)
-    except (OSError, ValueError, RecursionError) as exc:
-        out.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        F = form_from_json(json.loads(Path(args.form).read_text()))
+    except (OSError, RecursionError) as exc:
+        raise ValueError(exc) from exc
     if not F:
-        out.write("error: zero form\n")
-        return EXIT_USAGE
+        raise ValueError("zero form")
     witness = singular_point_from_lemma_base(F)
     if witness is not None:
         out.write(_dump({"singular_witness": witness.to_json()}))
@@ -270,7 +267,7 @@ def main(argv=None, out=None) -> int:
             "spectrum": cmd_spectrum,
         }
         if args.command is None:
-            parser.print_usage()
+            parser.print_usage(out)
             return EXIT_USAGE
         return handlers[args.command](args, out)
     except SystemExit as exc:

@@ -213,12 +213,14 @@ def klein_signature(n: int) -> tuple[int, Signature]:
 
     The Klein n-fold is invariant under the diagonal automorphism with this
     signature.  Takes the largest admissible prime whose order of -2 is
-    exactly n+2; raises LookupError when no admissible prime has full order.
+    exactly n+2.  One exists for every n >= 2, and it is neither 2 nor 3.
+    Let m = n + 2 >= 4, and let q be a primitive prime divisor of 2^k - 1
+    (Zsigmondy, Monatsh. Math. Phys. 3, 1892), with k = 2m for odd m,
+    k = m when 4 | m, and k = m/2 when m = 2 mod 4; then ord_q(-2) = m.
+    For base 2 and k >= 2 the theorem's only exception is 2^6 - 1, and no
+    m >= 4 needs k = 6.  q is odd, and q != 3 since ord_3(-2) = 1.
     """
-    candidates = [p for p in admissible_primes(n) if p > 3 and minus_two_order(p, n) == n + 2]
-    if not candidates:
-        raise LookupError(f"no prime of full order n+2={n + 2} exists for n={n}")
-    p = candidates[-1]
+    p = max(q for q in admissible_primes(n) if minus_two_order(q, n) == n + 2)
     return p, Signature(p, [pow(-2, i, p) for i in range(n + 2)])
 
 

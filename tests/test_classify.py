@@ -93,7 +93,8 @@ def test_classify_inadmissible_prime():
 
 
 def test_classify_rejects_non_prime():
-    with pytest.raises(ValueError):
+    # is_admissible refuses the modulus; classify makes no check of its own.
+    with pytest.raises(ValueError, match="modulus must be prime, got 6"):
         classify(3, 6)
 
 

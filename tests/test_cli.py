@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubiclass.cli import GOLDEN_DIR, build_parser, main
+from cubiclass.cli import GOLDEN_DIR, _golden_documents, build_parser, main
 from cubiclass.forms import fermat, form_to_json, klein
 from cubiclass.smoothness import DEFAULT_MODULI
 
@@ -125,6 +125,25 @@ def test_classify_inadmissible_note():
     doc = json.loads(text)
     assert doc["families"] == []
     assert doc["notes"] == ["13 not admissible in dimension 4"]
+
+
+def test_classify_inadmissible_note_md():
+    code, text = run_cli("classify", "--n", "4", "--p", "13", "--format", "md")
+    assert code == 0
+    assert text == (
+        "| label | p | sigma | weight | dim_E | dim_norm | D |\n"
+        "|---|---|---|---|---|---|---|\n"
+        "\nnote: 13 not admissible in dimension 4\n"
+    )
+
+
+def test_classify_csv():
+    code, text = run_cli("classify", "--n", "3", "--p", "11", "--format", "csv")
+    assert code == 0
+    assert text == (
+        "label,p,n,sigma,weight,dim_E,dim_norm,D\n"
+        'T_11^1,11,3,"(1,3,4,5,9)",0,5,5,0\n'
+    )
 
 
 def test_classify_inadmissible_huge_prime_at_once():
@@ -252,11 +271,19 @@ def test_smooth_has_no_moduli_option(tmp_path):
     assert code == 2
 
 
+def test_smooth_missing_file(tmp_path):
+    path = tmp_path / "missing.json"
+    code, text = run_cli("smooth", str(path))
+    assert code == 2
+    assert text == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
 def test_smooth_rejects_zero_form(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"n": 2, "terms": []}))
-    code, _ = run_cli("smooth", str(path))
+    code, text = run_cli("smooth", str(path))
     assert code == 2
+    assert text == "error: zero form\n"
 
 
 def test_smooth_rejects_duplicates(tmp_path):
@@ -371,9 +398,12 @@ def test_spectrum_unsupported():
     assert text == "error: supported dimensions are 3 and 5, not 4\n"
 
 
-def test_no_command_usage():
-    code, _ = run_cli()
+def test_no_command_usage(capsys):
+    # The usage line goes to out, like every other line main writes.
+    code, text = run_cli()
     assert code == 2
+    assert text.startswith("usage: cubiclass ")
+    assert capsys.readouterr().out == ""
 
 
 def test_classify_budget_exhaustion_is_an_input_error(monkeypatch):
@@ -491,25 +521,26 @@ def test_golden_files_exist(name):
 
 
 def test_golden_admissible_tables_current():
+    # Spot checks; test_golden_classification_matches_fresh_run compares
+    # the whole file with what --regen-golden writes.
     golden = json.loads((GOLDEN_DIR / "admissible_tables.json").read_text())
     assert golden["admissible_primes"]["3"] == [2, 3, 5, 11]
     assert golden["max_admissible_prime"]["15"] == 43691
-    from cubiclass.admissibility import admissible_primes, max_admissible_prime
-    for n_str, primes in golden["admissible_primes"].items():
-        assert list(admissible_primes(int(n_str))) == primes
-    for n_str, p in golden["max_admissible_prime"].items():
-        assert max_admissible_prime(int(n_str)) == p
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-def test_golden_classification_matches_fresh_run(n):
-    # At n = 5 this pins every witness certificate, basis_size included, so
-    # a change to the Groebner engine that alters the basis it builds shows
-    # up here.
-    from cubiclass.cli import _classification_document, _dump
-    from cubiclass.admissibility import admissible_primes
-    doc = _classification_document(n, list(admissible_primes(n)))
-    assert _dump(doc) == (GOLDEN_DIR / f"classify_n{n}.json").read_text()
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        pytest.param(name, text, id=name.removeprefix("classify_n").removesuffix(".json"))
+        for name, text in _golden_documents()
+    ],
+)
+def test_golden_classification_matches_fresh_run(name, text):
+    # Every document --regen-golden writes equals its file: the
+    # classifications, with id n, and the admissible tables.  At n = 5 this
+    # pins every witness certificate, basis_size included, so a change to
+    # the Groebner engine that alters the basis it builds shows up here.
+    assert text == (GOLDEN_DIR / name).read_text()
 
 
 def test_readme_library_example_runs():
@@ -537,6 +568,31 @@ def test_readme_library_example_runs():
     assert all(ns["families"].values())
     spec = ns["klein_tangent_spectrum"](5)
     assert (spec.p, len(spec.exponents)) == (43, 21)
+
+
+def test_readme_cli_examples_run():
+    # Each README CLI line but the two that need a file or write files
+    # exits 0, and each value its comment shows is what the command prints.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    shown, texts = {}, {}
+    for line in block.splitlines():
+        command, _, comment = (part.strip() for part in line.partition("#"))
+        argv = shlex.split(command)[1:]
+        if not argv or argv[0] in ("--regen-golden", "smooth"):
+            continue
+        shown[command] = comment
+        code, texts[command] = run_cli(*argv)
+        assert code == 0, line
+    assert len(texts) == 6
+    assert shown["cubiclass admissible --n 3"] == "2, 3, 5, 11"
+    assert "| 3 | 2, 3, 5, 11 |\n" in texts["cubiclass admissible --n 3"]
+    assert shown["cubiclass classify --n 5 --p 43"] == "the Klein fivefold, D = 0"
+    (family,) = json.loads(texts["cubiclass classify --n 5 --p 43"])["families"]
+    assert family["D"] == 0
+    assert shown["cubiclass spectrum --klein 5"] == "21 exponents mod 43"
+    spectrum = json.loads(texts["cubiclass spectrum --klein 5"])
+    assert spectrum["p"] == 43 and len(spectrum["exponents"]) == 21
 
 
 def test_readme_cli_examples_parse():

@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from cubiclass.admissibility import admissible_primes
+from cubiclass.admissibility import admissible_primes, minus_two_order
 from cubiclass.forms import (
     CubicForm,
     coordinate_subspace_obstruction,
@@ -368,16 +368,26 @@ def test_klein_signature_values(n, p, values):
 
 
 def test_klein_signature_takes_the_largest_prime_of_full_order():
-    for n in range(2, 15):
-        full = [p for p in admissible_primes(n) if p > 3 and brute_order(-2, p) == n + 2]
+    # Zsigmondy gives every n >= 2 a prime of full order, never 2 or 3;
+    # n = 98 is the last dimension the admissible tables reach.  The largest
+    # such prime is checked against a brute-force order up to n = 14.
+    for n in range(2, 99):
         p, sig = klein_signature(n)
-        assert p == max(full), n
+        assert p > 3 and minus_two_order(p, n) == n + 2, n
         assert sig.values == tuple(pow(-2, i, p) for i in range(n + 2))
+        if n <= 14:
+            full = [q for q in admissible_primes(n) if q > 3 and brute_order(-2, q) == n + 2]
+            assert p == max(full), n
 
 
 def test_weight_of_mixed():
     F = CubicForm(3, {(0, 0, 0): 1, (0, 0, 1): 1})
     assert weight_of(F, Signature(5, (1, 2, 3, 4, 0))) is None
+
+
+def test_weight_of_refuses_a_signature_of_the_wrong_length():
+    with pytest.raises(ValueError, match="signature length does not match form dimension"):
+        weight_of(fermat(3), Signature(5, (0, 1, 2, 3)))
 
 
 def test_partials_fermat():

@@ -91,9 +91,32 @@ def test_action_refuses_non_integers(a, b, perm):
         AffinePermAction(5, a, b, perm)
 
 
+def test_signature_needs_four_entries():
+    with pytest.raises(ValueError, match=r"at least 4 entries \(n >= 2\)"):
+        Signature(5, (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "a, perm, message",
+    [
+        (10, range(4), "scaling part must be nonzero mod p"),
+        (1, (0, 0, 1, 2), "perm is not a permutation"),
+        (1, (1, 2, 3, 4), "perm is not a permutation"),
+    ],
+)
+def test_action_refuses_zero_scaling_and_non_permutations(a, perm, message):
+    with pytest.raises(ValueError, match=message):
+        AffinePermAction(5, a, 0, perm)
+
+
 def test_act_modulus_mismatch():
     with pytest.raises(ValueError):
         act(Signature(5, (0, 1, 2, 3)), AffinePermAction(7, 1, 0, range(4)))
+
+
+def test_act_permutation_length_mismatch():
+    with pytest.raises(ValueError, match="permutation length does not match"):
+        act(Signature(5, (0, 1, 2, 3)), AffinePermAction(5, 1, 0, range(5)))
 
 
 def test_act_is_group_action():
@@ -212,6 +235,11 @@ def test_equivalent_examples():
 def test_equivalent_modulus_mismatch():
     with pytest.raises(ValueError):
         equivalent(Signature(5, (0, 1, 2, 3)), Signature(7, (0, 1, 2, 3)))
+
+
+def test_equivalent_length_mismatch():
+    with pytest.raises(ValueError, match="length mismatch"):
+        equivalent(Signature(5, (0, 1, 2, 3)), Signature(5, (0, 1, 2, 3, 4)))
 
 
 def test_normalize_weight_identity():
@@ -497,6 +525,16 @@ def test_chain_pruned_rejects_small_p():
         enumerate_orbits(2, 3, "chain_pruned")
     with pytest.raises(ValueError):
         enumerate_orbits(3, 3, "chain_pruned")
+
+
+def test_enumerate_orbits_refuses_an_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
+        enumerate_orbits(5, 3, "greedy")
+
+
+def test_chain_pruned_walks_nothing_at_an_inadmissible_prime():
+    # ord_13(-2) = 12 > n + 2 = 6: the coset of 1 fits in no multiset.
+    assert enumerate_orbits(13, 4, "chain_pruned") == []
 
 
 def exhaustive_cases():
