@@ -113,29 +113,30 @@ def admissible_primes(n: int) -> tuple[int, ...]:
     Complete by the criterion itself: an odd prime p has (-2)^l = 1 mod p
     exactly when p divides (-2)^l - 1, so the odd admissible primes are the
     prime factors of (-2)^l - 1 for l = 1, ..., n+2, and p < 2^(n+1)
-    follows.  The stack pops l = 1 first and keeps the parts rho splits on
-    top, so each l is factored before l + 1.  A popped number is stripped
-    of the primes in the table: a prime q of (-2)^l - 1 of order e < l
-    divides (-2)^e - 1, factored earlier, so what is left at l is a product
-    of primes of order exactly l.  Each prime is split off once, at its
-    order, and is_prime passes it once; it raises ValueError on a part from
-    psi_13 up that it cannot decide.
+    follows.  Each l is factored in full before (-2)^(l+1) - 1 is built,
+    so memory stays that of one l.  A number is stripped of the primes in
+    the table: a prime q of (-2)^l - 1 of order e < l divides (-2)^e - 1,
+    factored earlier, so what is left at l is a product of primes of order
+    exactly l.  Each prime is split off once, at its order, and is_prime
+    passes it once; it raises ValueError on a part from psi_13 up that it
+    cannot decide.
     """
     _check_dimension(n)
     primes = [2]
-    stack = [abs((-2) ** ell - 1) for ell in range(n + 2, 0, -1)]
-    while stack:
-        m = stack.pop()
-        for p in primes:
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            continue
-        if is_prime(m):
-            primes.append(m)
-        else:
-            f = _pollard_rho(m)
-            stack += [f, m // f]
+    for ell in range(1, n + 3):
+        stack = [abs((-2) ** ell - 1)]
+        while stack:
+            m = stack.pop()
+            for p in primes:
+                while m % p == 0:
+                    m //= p
+            if m == 1:
+                continue
+            if is_prime(m):
+                primes.append(m)
+            else:
+                f = _pollard_rho(m)
+                stack += [f, m // f]
     return tuple(sorted(primes))
 
 

@@ -7,6 +7,7 @@ A RuntimeError is a fault and is not mapped to an exit code.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from functools import lru_cache
@@ -257,7 +258,9 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # --help prints to out; argparse errors still go to stderr
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
         if args.regen_golden:
             return regen_golden(out)
         handlers = {

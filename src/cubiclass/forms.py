@@ -136,34 +136,27 @@ def invertible_member(sig: Signature, a: int):
     classification of quasihomogeneous functions, CMP 150, 1992), which
     has an isolated singularity for any nonzero coefficients.
 
-    Each i takes j = i when 3*sigma_i = a, else the least free j.  No
-    backtracking is needed: the targets of i have value f(sigma_i),
-    f(v) = a - 2v, and for odd p f is a bijection, while for p = 2 every
-    i with 3*sigma_i != a has the one value other than a.  So the i that
-    compete for targets of a value u all share one value, and the choice
-    fails exactly when they outnumber the indices of value u, for which no
-    choice exists: mult(a - 2v) < mult(v) for some v, which is
-    coordinate_subspace_obstruction's test and holds whenever
-    lemma_base_feasible fails.
+    Each i with 3*sigma_i = a takes its own cube; each other i of value v
+    takes the next unused index of value f(v) = a - 2v.  For odd p, f is a
+    bijection whose only fixed values are the cube values; at p = 2 every
+    non-cube draws on the cube value a.  So the indices of one value f(v)
+    serve only the non-cubes of value v, none of them its own target, and
+    they run out exactly when mult(f(v)) < mult(v), where no choice exists.
+    That is coordinate_subspace_obstruction's test (it catches every
+    lemma_base_feasible failure), and None comes from it.
     """
+    if coordinate_subspace_obstruction(sig, a) is not None:
+        return None
     p = sig.p
-    a = _check_weight(a) % p
-    vals = sig.values
-    taken = set()
-    out = []
-    for i, v in enumerate(vals):
-        if 3 * v % p == a:
-            out.append((i, i, i))
-            continue
-        want = (a - 2 * v) % p
-        j = next(
-            (j for j, w in enumerate(vals) if w == want and j not in taken), None
-        )
-        if j is None:
-            return None
-        taken.add(j)
-        out.append(tuple(sorted((i, i, j))))
-    return tuple(out)
+    a %= p
+    unused = {}
+    for k, v in enumerate(sig.values):
+        unused.setdefault(v, []).append(k)
+    return tuple(
+        (i, i, i) if 3 * v % p == a
+        else tuple(sorted((i, i, unused[(a - 2 * v) % p].pop(0))))
+        for i, v in enumerate(sig.values)
+    )
 
 
 def coordinate_subspace_obstruction(sig: Signature, a: int):
@@ -182,10 +175,11 @@ def coordinate_subspace_obstruction(sig: Signature, a: int):
     - Rejection.  For V = {v}, on L_{T_v} only the mult(a - 2v) partials of
       weight a - 2v survive; when they are fewer than mult(v), these
       quadrics on P^(mult(v)-1) share a zero.
-    - Acceptance.  When no v has mult(a - 2v) < mult(v), invertible_member
-      succeeds (its docstring proves it), and that member is smooth, so
-      the smooth members form a nonempty Zariski-open subset of the
-      eigenspace defined over Q and no larger T can obstruct.
+    - Acceptance.  When no v has mult(a - 2v) < mult(v), the targets
+      invertible_member assigns never run out (its docstring shows why),
+      and the invertible member it returns is smooth, so the smooth
+      members form a nonempty Zariski-open subset of the eigenspace
+      defined over Q and no larger T can obstruct.
     Returns T_v for the least such v, or None.
     """
     p = sig.p

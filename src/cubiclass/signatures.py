@@ -103,9 +103,9 @@ def _lead_blocks(p: int, vals, translate: bool = True):
     for a value u of top multiplicity (u = 0 without translation) and
     a = (v - u)^-1 for a value v != u of top multiplicity among the rest:
     at most (n+2)(n+1) candidates, whatever p is.  The set of candidates
-    is the same for every member of the orbit.
+    is the same for every member of the orbit.  vals must be residues mod
+    p, as Signature values and both walks' multisets are.
     """
-    vals = [v % p for v in vals]
     counts = Counter(vals)
     if translate:
         top = max(counts.values())

@@ -346,9 +346,9 @@ def find_smooth_member(sig: Signature, a: int):
     over Q, or None.
 
     The member has coefficient 1 on the n + 2 monomials of
-    forms.invertible_member and is certified from those alone.  An
-    eigenspace without one is exactly one with a coordinate-subspace
-    obstruction (the lemma filter included): it has only singular members.
+    forms.invertible_member and is certified from those alone.  It is
+    missing exactly when forms.coordinate_subspace_obstruction finds an
+    obstruction (the lemma filter included): every member is singular.
     Returns (monomials, certificate), or None when there is no invertible
     member.  A member that no default modulus certifies raises
     RuntimeError, a fault and not an input error: in fewer than 10006

@@ -46,3 +46,26 @@ def eigenspace_scan(sig, a: int) -> tuple:
         for m in combinations_with_replacement(range(len(vals)), 3)
         if (vals[m[0]] + vals[m[1]] + vals[m[2]] - a) % p == 0
     )
+
+
+def greedy_invertible_member(sig, a: int):
+    """Invertible-member targets by search: each i takes its own cube when
+    3*sigma_i = a, else the least index of value a - 2*sigma_i not yet
+    taken, scanning all indices; None when some i finds none."""
+    p, vals = sig.p, sig.values
+    a %= p
+    taken = set()
+    out = []
+    for i, v in enumerate(vals):
+        if 3 * v % p == a:
+            out.append((i, i, i))
+            continue
+        want = (a - 2 * v) % p
+        j = next(
+            (j for j, w in enumerate(vals) if w == want and j not in taken), None
+        )
+        if j is None:
+            return None
+        taken.add(j)
+        out.append(tuple(sorted((i, i, j))))
+    return tuple(out)

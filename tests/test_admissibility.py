@@ -1,5 +1,6 @@
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,20 @@ def test_factor_splits_large_cofactors():
     # psi_13, where a prime cannot be certified.
     with pytest.raises(ValueError, match=str(WAGSTAFF_101)):
         admissible_primes(99)
+
+
+def test_admissible_primes_builds_one_number_at_a_time():
+    # Each (-2)^l - 1 is built only once the one before is factored, so
+    # n = 20000 stops at l = 101 holding a few hundred bits.  Building all
+    # n + 2 numbers up front would hold about 26 MB by then.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(WAGSTAFF_101)):
+            admissible_primes(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_each_prime_is_split_off_once(monkeypatch):

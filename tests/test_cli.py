@@ -406,6 +406,17 @@ def test_no_command_usage(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_help_goes_to_out(capsys):
+    # --help is written to out too; a parse error stays on stderr.
+    code, text = run_cli("--help")
+    assert code == 0
+    assert text.startswith("usage: cubiclass ") and "--regen-golden" in text
+    assert capsys.readouterr().out == ""
+    code, text = run_cli("--no-such-option")
+    assert code == 2 and text == ""
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_classify_budget_exhaustion_is_an_input_error(monkeypatch):
     # classify's walks fit the enumeration budget below n = 183 at p = 3
     # (584 at p = 2), so a budget of 10 is forced here to reach an

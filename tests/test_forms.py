@@ -22,7 +22,13 @@ from cubiclass.forms import (
 from cubiclass.classify import _resolve_strategy, classify, fermat_realizes
 from cubiclass.signatures import AffinePermAction, Signature, act, enumerate_orbits
 from cubiclass.smoothness import DEFAULT_MODULI, is_smooth_mod_q
-from form_helpers import brute_order, eigenspace_scan, relabel, s3_dimension
+from form_helpers import (
+    brute_order,
+    eigenspace_scan,
+    greedy_invertible_member,
+    relabel,
+    s3_dimension,
+)
 
 
 def test_s3_dimension():
@@ -218,10 +224,51 @@ def test_invertible_member_examples():
     assert invertible_member(sig, 0) is None
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_invertible_member_matches_the_greedy_search(n):
+    # The same targets as the least-free-index search, on every class the
+    # classifier walks and every weight.
+    for p in admissible_primes(n):
+        for sig in enumerate_orbits(p, n, _resolve_strategy(p, n)):
+            for a in range(p):
+                expected = greedy_invertible_member(sig, a)
+                assert invertible_member(sig, a) == expected, (sig.values, a)
+
+
+def test_invertible_member_matches_the_greedy_search_at_random():
+    # Whole cycles of v -> a - 2v, padded with the cube value a/3, leave
+    # the eigenspace unobstructed; one value in four signatures is then
+    # redrawn, which mostly obstructs it.  The shuffle interleaves the
+    # indices of each value with the others'.
+    rng = random.Random(11)
+    found = 0
+    for _ in range(1500):
+        p = rng.choice((5, 7, 11, 13, 43))
+        n = rng.randrange(2, 41)
+        a = rng.randrange(p)
+        vals = []
+        while True:
+            cycle = [rng.randrange(p)]
+            while (a - 2 * cycle[-1]) % p != cycle[0]:
+                cycle.append((a - 2 * cycle[-1]) % p)
+            if len(vals) + len(cycle) > n + 2:
+                break
+            vals += cycle
+        vals += [a * pow(3, -1, p) % p] * (n + 2 - len(vals))
+        if rng.random() < 0.25:
+            vals[rng.randrange(n + 2)] = rng.randrange(p)
+        rng.shuffle(vals)
+        sig = Signature(p, vals)
+        mons = invertible_member(sig, a)
+        assert mons == greedy_invertible_member(sig, a), (vals, a)
+        found += mons is not None
+    assert found > 1000
+
+
 def test_every_witness_is_an_invertible_member():
-    # Trial 0 certifies every family at n <= 8, so the random fallback is
-    # never reached: each witness is n + 2 ones on a disjoint sum of
-    # Fermat, chain and loop blocks, certified at the first modulus.
+    # Each witness is the invertible member itself: n + 2 ones on a
+    # disjoint sum of Fermat, chain and loop blocks, certified at the
+    # first modulus.
     kinds = set()
     for n in range(2, 9):
         for p in admissible_primes(n):

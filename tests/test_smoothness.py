@@ -323,7 +323,7 @@ def test_lemma_witness_examples():
     assert singular_point_from_lemma_base(F).point == (1, 0, 0, 0)
 
 
-def test_find_smooth_member_trial_zero_is_invertible():
+def test_find_smooth_member_certifies_the_invertible_member():
     # The witness is the invertible member x0^3 plus the loop
     # x1^2 x3 + x3^2 x4 + x4^2 x2 + x2^2 x1, five of the seven basis
     # monomials.
