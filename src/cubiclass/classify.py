@@ -67,33 +67,6 @@ def normalizer_dim(sig: Signature) -> int:
     return sum(c * c for c in Counter(sig.values).values())
 
 
-# Family labels of the published threefold and fourfold tables, keyed by
-# (n, p) + family_key of the labelled row, so a record's key reads its label.
-_LABELS = {
-    (3, 2, 0, (0, 0, 0, 0, 1)): "T_2^1",
-    (3, 2, 0, (0, 0, 0, 1, 1)): "T_2^2",
-    (3, 3, 0, (0, 0, 0, 0, 1)): "T_3^1",
-    (3, 3, 0, (0, 0, 0, 1, 1)): "T_3^2",
-    (3, 3, 0, (0, 0, 0, 1, 2)): "T_3^3",
-    (3, 3, 0, (0, 0, 1, 1, 2)): "T_3^4",
-    (3, 5, 0, (0, 1, 2, 3, 4)): "T_5^1",
-    (3, 11, 0, (1, 3, 4, 5, 9)): "T_11^1",
-    (4, 2, 0, (0, 0, 0, 0, 0, 1)): "F_2^1",
-    (4, 2, 0, (0, 0, 0, 0, 1, 1)): "F_2^2",
-    (4, 2, 0, (0, 0, 0, 1, 1, 1)): "F_2^3",
-    (4, 3, 0, (0, 0, 0, 0, 0, 1)): "F_3^1",
-    (4, 3, 0, (0, 0, 0, 0, 1, 1)): "F_3^2",
-    (4, 3, 0, (0, 0, 0, 0, 1, 2)): "F_3^3",
-    (4, 3, 0, (0, 0, 0, 1, 1, 1)): "F_3^4",
-    (4, 3, 0, (0, 0, 0, 1, 1, 2)): "F_3^5",
-    (4, 3, 0, (0, 0, 1, 1, 2, 2)): "F_3^6",
-    (4, 3, 1, (0, 0, 1, 1, 2, 2)): "F_3^7",
-    (4, 5, 0, (0, 0, 1, 2, 3, 4)): "F_5^1",
-    (4, 7, 0, (1, 2, 3, 4, 5, 6)): "F_7^1",
-    (4, 11, 0, (0, 1, 3, 4, 5, 9)): "F_11^1",
-}
-
-
 def _process_class(class_sig: Signature):
     """Accept or reject one signature class; the verdict depends on sigma alone.
 
@@ -106,7 +79,7 @@ def _process_class(class_sig: Signature):
     same family share a family_key, and each distinct key becomes one
     record, whose sigma and weight are the key and whose witness is the
     member find_smooth_member certifies, written as a 0/1 vector aligned
-    with the eigenspace basis.  Returns (records, rejected record or None).
+    with the eigenspace basis.  Returns (unsorted records, rejected or None).
     """
     p, n = class_sig.p, class_sig.n
     candidates = {(w + 2 * class_sig.values[0]) % p for w in class_sig.values}
@@ -127,7 +100,7 @@ def _process_class(class_sig: Signature):
         )
         return [], rejected
     records = []
-    for weight, values in sorted({family_key(class_sig, a) for a in searched}):
+    for weight, values in {family_key(class_sig, a) for a in searched}:
         rep = Signature(p, values)
         monomials, cert = find_smooth_member(rep, weight)
         members = set(monomials)
@@ -145,7 +118,6 @@ def _process_class(class_sig: Signature):
                 D=len(basis) - dn,
                 basis=basis,
                 witness=(coeffs, cert),
-                label=_LABELS.get((n, p, weight, values)),
             )
         )
     return records, None
@@ -165,7 +137,9 @@ def classify_with_audit(n: int, p: int):
     """(accepted records, rejected classes, notes) for one prime; raises
     ValueError when p is not prime (from is_admissible) or the orbit walk
     is over its budget, and RuntimeError if no default modulus certifies a
-    family's witness (a fault)."""
+    family's witness (a fault).  The records are sorted by (sigma, weight),
+    a total order since their family keys are distinct, and at n = 3 and 4
+    the k-th is labelled T_p^k or F_p^k."""
     if not is_admissible(p, n):
         return [], [], [f"{p} not admissible in dimension {n}"]
     accepted, rejected = [], []
@@ -175,6 +149,10 @@ def classify_with_audit(n: int, p: int):
         if rej is not None:
             rejected.append(rej)
     accepted.sort(key=lambda r: (r.sigma.values, r.weight))
+    # The published tables number each prime's families in this order.
+    if n in (3, 4):
+        for k, rec in enumerate(accepted, 1):
+            rec.label = f"{'TF'[n - 3]}_{p}^{k}"
     return accepted, rejected, []
 
 

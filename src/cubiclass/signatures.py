@@ -286,6 +286,21 @@ def _chain_multisets(p: int, n: int):
                 yield tuple(sorted(fixed + list(fill)))
 
 
+def _chain_multiset_count(p: int, n: int) -> int:
+    """len(list(_chain_multisets(p, n))) in N // ell binomials, N = n + 2.
+
+    The walk joins the coset of 1 and j < N // ell of the (p - 1)/ell - 1
+    others, and fills the N - (j + 1)*ell slots left from their
+    (j + 1)*ell values and 0: C(N, N - (j + 1)*ell) ways.
+    """
+    N = n + 2
+    ell = minus_two_order(p, n)
+    if ell is None:
+        return 0
+    others = (p - 1) // ell - 1
+    return sum(comb(others, j) * comb(N, N - (j + 1) * ell) for j in range(N // ell))
+
+
 def enumerate_orbits(
     p: int, n: int, strategy: str = "exhaustive", budget: int = 10**8
 ) -> list[Signature]:
@@ -294,15 +309,17 @@ def enumerate_orbits(
     exhaustive walks _lead_shaped_multisets, which hold the canonical vector
     of every orbit, each a lead-block member of its own orbit: handled, the
     lead-block members of the orbits seen, makes one _lead_blocks call per
-    class.  So orbit_count classes times the (n+2)(n+1) candidates of each
-    bound its work.  A walk over the budget is input out of range and
-    raises ValueError before it starts; one that emits other than
-    orbit_count classes is a fault and raises RuntimeError.  budget stays
-    the fourth positional parameter for library callers that need a larger
-    walk.  chain_pruned, for p > 3, emits exactly the classes satisfying
-    the closed-value-set necessary condition: a superset of the classes
-    carrying a smooth invariant form, tractable at the large primes where
-    exhaustive cannot run.  No walk yields a constant vector (a lead-shaped
+    class, so orbit_count times (n+2)(n+1) candidates bound its work.
+    chain_pruned, for p > 3, emits exactly the classes satisfying the
+    closed-value-set necessary condition, a superset of the classes
+    carrying a smooth invariant form.  It canonicalizes only the distinct
+    least scalings of the chain multisets, as a scaling keeps the class, so
+    _chain_multiset_count times n+2 candidates bound its work.  A walk over
+    the budget is input out of range and raises ValueError before it starts
+    (chain_pruned first at p = 43, n = 22); an exhaustive one that emits
+    other than orbit_count classes is a fault and raises RuntimeError.
+    budget stays the fourth positional parameter for library callers that
+    need a larger walk.  No walk yields a constant vector (a lead-shaped
     multiset holds 0 and 1, a chain multiset the ell >= 2 values of the
     coset of 1), so no class is zero.
     """
@@ -310,13 +327,20 @@ def enumerate_orbits(
     _check_dimension(n)
     if strategy == "exhaustive":
         count = orbit_count(p, n)
-        work = count * (n + 2) * (n + 1)
-        if work > budget:
-            hint = "use the chain_pruned strategy" if p > 3 else "no pruning at p <= 3"
-            raise ValueError(
-                f"p={p}, n={n}: {work} lead-block candidates exceed budget "
-                f"{budget}; {hint}"
-            )
+        work, kind = count * (n + 2) * (n + 1), "lead-block"
+        hint = "use the chain_pruned strategy" if p > 3 else "no pruning at p <= 3"
+    elif strategy == "chain_pruned":
+        if p <= 3:
+            raise ValueError("chain_pruned requires p > 3")
+        work, kind = _chain_multiset_count(p, n) * (n + 2), "scaling"
+        hint = "no strategy prunes further"
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if work > budget:
+        raise ValueError(
+            f"p={p}, n={n}: {work} {kind} candidates exceed budget {budget}; {hint}"
+        )
+    if strategy == "exhaustive":
         handled, classes = set(), []
         for vals in _lead_shaped_multisets(p, n + 2):
             if vals not in handled:
@@ -325,10 +349,7 @@ def enumerate_orbits(
                 classes.append(min(orbit))
         if len(classes) != count:
             raise RuntimeError(f"walk emitted {len(classes)} classes, not {count}")
-    elif strategy == "chain_pruned":
-        if p <= 3:
-            raise ValueError("chain_pruned requires p > 3")
-        classes = {_canonical_values(p, v) for v in _chain_multisets(p, n)}
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        scaled = {min(_lead_blocks(p, v, False)) for v in _chain_multisets(p, n)}
+        classes = {_canonical_values(p, v) for v in scaled}
     return [Signature(p, v) for v in sorted(classes)]

@@ -355,6 +355,27 @@ def test_errata_amend_published_rows():
     assert all(published.count(row) == 1 for row in ERRATA)
 
 
+def test_labels_number_the_published_rows(threefolds, fourfolds):
+    # The published tables number each prime's families T_p^k and F_p^k.
+    # The k-th family at p must be the k-th published row at p, errata
+    # included, and carry that row's corrected D; so an erratum that removes
+    # a row is possible only at the end of its prime's rows.
+    for n, letter, by_prime, table in (
+        (3, "T", threefolds[0], PUBLISHED_THREEFOLD_TABLE),
+        (4, "F", fourfolds[0], PUBLISHED_FOURFOLD_TABLE),
+    ):
+        assert sorted(by_prime) == sorted({p for p, _, _ in table})
+        for p, records in by_prime.items():
+            rows = [row for row in table if row[0] == p]
+            assert len(records) <= len(rows), (n, p)
+            for k, (rec, row) in enumerate(zip(records, rows), 1):
+                assert rec.label == f"{letter}_{p}^{k}", (n, p, k)
+                assert equivalent(rec.sigma, Signature(p, row[1])), rec.label
+                fixed = ERRATA.get(row, row)
+                assert fixed is not None and rec.D == fixed[2], rec.label
+            assert all(ERRATA.get(row) is None for row in rows[len(records):])
+
+
 @pytest.mark.parametrize("p, vals, a, T, k", DISPROVED_EIGENSPACES)
 def test_erratum_eigenspace_singular_on_coordinate_line(p, vals, a, T, k):
     # surviving[i]: terms of dF/dx_i that do not vanish identically on L

@@ -7,7 +7,6 @@ import pytest
 
 from cubiclass.admissibility import admissible_primes
 from cubiclass.classify import (
-    _LABELS,
     FamilyRecord,
     _resolve_strategy,
     classify,
@@ -338,16 +337,6 @@ def test_large_n_witnesses_are_n_plus_2_monomials(n, p):
         F = CubicForm(n, dict(zip(rec.basis, coeffs)))
         assert cert.modulus == DEFAULT_MODULI[0] == 10007
         assert is_smooth_mod_q(F, 10007) == cert
-
-
-def test_labels_are_their_rows_family_keys():
-    # A label is looked up by a record's family key, so a row that is not
-    # its own family key could never be found, or would name another row.
-    assert len(_LABELS) == 21
-    assert {n for n, *_ in _LABELS} == {3, 4}
-    for n, p, weight, values in _LABELS:
-        assert len(values) == n + 2
-        assert family_key(Signature(p, values), weight) == (weight, values)
 
 
 def test_classify_all_keys():

@@ -443,17 +443,23 @@ def test_classify_budget_exhaustion_is_an_input_error(monkeypatch):
 
 def test_classify_past_the_budget_exits_2():
     # From n = 183 at p = 3 and n = 584 at p = 2 the exhaustive walk needs
-    # more lead-block candidates than the default budget of 10^8; the count
-    # is closed-form, so the run ends at once, before any walk.  The error
-    # names no option.
-    for n, p, work in ((183, 3, 100213760), (584, 2, 100443330)):
+    # more lead-block candidates than the default budget of 10^8, and the
+    # chain walks at (30, 683) and (40, 2731) more scaling candidates; each
+    # count is closed-form, so the run ends at once, before any walk.  The
+    # error names no option.
+    for n, p, work, kind, hint in (
+        (183, 3, 100213760, "lead-block", "no pruning at p <= 3"),
+        (584, 2, 100443330, "lead-block", "no pruning at p <= 3"),
+        (30, 683, 130056675840, "scaling", "no strategy prunes further"),
+        (40, 2731, 1462704603165876, "scaling", "no strategy prunes further"),
+    ):
         start = time.perf_counter()
         code, text = run_cli("classify", "--n", str(n), "--p", str(p))
         assert time.perf_counter() - start < 1, (n, p)
         assert code == 2, (n, p)
         assert text == (
-            f"error: p={p}, n={n}: {work} lead-block candidates exceed budget "
-            "100000000; no pruning at p <= 3\n"
+            f"error: p={p}, n={n}: {work} {kind} candidates exceed budget "
+            f"100000000; {hint}\n"
         )
 
 

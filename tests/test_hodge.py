@@ -265,19 +265,43 @@ def test_spectrum_json():
     assert doc["exponents"] == sorted(doc["exponents"])
 
 
-@pytest.mark.parametrize("n, count", [(2, 6), (3, 8), (4, 13), (5, 14), (6, 19)])
+def golden_characters(n, d):
+    """(row, degree-d character of its witness) for each family of the
+    classify_n{n} golden."""
+    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
+    for row in doc["families"]:
+        coeffs = row["witness"]["coeffs"]
+        F = CubicForm(n, {tuple(m): c for m, c in zip(row["basis"], coeffs)})
+        sig = Signature(row["p"], row["sigma"])
+        yield row, jacobian_ring_character(F, sig, d).exponents
+
+
+@pytest.mark.parametrize(
+    "n, count", [(2, 6), (3, 8), (4, 13), (5, 14), (6, 19), (7, 23), (8, 28)]
+)
 def test_invariant_deformations_count_D(n, count):
     # (S/J(F))_3 is the tangent space to the deformations of a smooth cubic,
     # and the weight-a part is the tangent space to the family of weight-a
     # eigenvectors, so weight a occurs D = dim E - dim N times in the
     # character of each golden witness.  Every row is checked, F_3^7 (weight
     # 1, D = 6) among them.
-    doc = json.loads((GOLDEN_DIR / f"classify_n{n}.json").read_text())
     checked = 0
-    for row in doc["families"]:
-        coeffs = row["witness"]["coeffs"]
-        F = CubicForm(n, {tuple(m): c for m, c in zip(row["basis"], coeffs)})
-        chi = jacobian_ring_character(F, Signature(row["p"], row["sigma"]), 3)
-        assert chi.exponents.count(row["weight"]) == row["D"], (row["p"], row["sigma"])
+    for row, chi in golden_characters(n, 3):
+        assert chi.count(row["weight"]) == row["D"], (row["p"], row["sigma"])
         checked += 1
     assert checked == count
+
+
+def test_invariant_deformations_near_misses_disagree():
+    # Each slip in the identity above breaks it on some golden family:
+    # counting weight 0 instead of a (only the p = 3 weight-1 keys differ),
+    # reading degree 2 instead of 3, or sum n_j instead of sum n_j^2 in D.
+    rows3 = [rc for n in range(2, 9) for rc in golden_characters(n, 3)]
+    rows2 = [rc for n in range(2, 9) for rc in golden_characters(n, 2)]
+    assert len(rows3) == len(rows2) == 111
+    assert any(chi.count(0) != row["D"] for row, chi in rows3)
+    assert any(chi.count(row["weight"]) != row["D"] for row, chi in rows2)
+    assert any(
+        chi.count(row["weight"]) != row["dim_E"] - len(row["sigma"])
+        for row, chi in rows3
+    )

@@ -17,6 +17,8 @@ from cubiclass.signatures import (
     equivalent,
     family_key,
     scaling_canonical,
+    _canonical_values,
+    _chain_multiset_count,
     _chain_multisets,
     _lead_shaped_multisets,
     orbit_count,
@@ -559,6 +561,49 @@ def test_chain_pruned_subset_of_exhaustive():
             if any(lemma_base_feasible(s, a)[0] for a in range(p))
         }
         assert chain == full, (p, n)
+
+
+def test_chain_walk_canonicalizes_least_scalings_only():
+    # Chain multisets that differ by a scaling share a class, so the walk
+    # canonicalizes only their least scalings; the class lists equal those
+    # of canonicalizing every multiset.
+    cases = exhaustive_cases() + [(p, 12) for p in admissible_primes(12) if p > 3]
+    for p, n in cases:
+        every = sorted({_canonical_values(p, v) for v in _chain_multisets(p, n)})
+        chain = [s.values for s in enumerate_orbits(p, n, "chain_pruned")]
+        assert chain == every, (p, n)
+
+
+def test_chain_multiset_count_is_the_walk_length():
+    # The chain budget reads the closed form, never the walk: they agree at
+    # every admissible p > 3 for n = 2..14 where the walk is small.
+    cases = 0
+    for n in range(2, 15):
+        for p in admissible_primes(n):
+            count = _chain_multiset_count(p, n)
+            if p > 3 and count <= 2 * 10**5:
+                assert count == sum(1 for _ in _chain_multisets(p, n)), (p, n)
+                cases += 1
+    assert cases == 91
+
+
+def test_chain_budget_first_refuses_p43_at_n22():
+    # n + 2 scaling candidates per chain multiset: p = 43 fits the default
+    # budget at n = 21 and is refused before any walk at n = 22, and no
+    # prime classify walks chain-pruned below n = 22 is refused.
+    assert _chain_multiset_count(43, 21) == 4_333_637
+    assert 4_333_637 * 23 <= 10**8
+    assert _chain_multiset_count(43, 22) == 10_172_624
+    with pytest.raises(ValueError) as info:
+        enumerate_orbits(43, 22, "chain_pruned")
+    assert str(info.value) == (
+        f"p=43, n=22: {10_172_624 * 24} scaling candidates exceed budget "
+        "100000000; no strategy prunes further"
+    )
+    for n in range(2, 22):
+        for p in admissible_primes(n):
+            if _resolve_strategy(p, n) == "chain_pruned":
+                assert _chain_multiset_count(p, n) * (n + 2) <= 10**8, (p, n)
 
 
 def test_chain_multisets_are_closed_unions_holding_one():
