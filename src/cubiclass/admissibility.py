@@ -13,13 +13,17 @@ from math import gcd
 # The first 13 primes as Miller-Rabin bases decide every input below
 # psi_13, the least strong pseudoprime to all of them (Sorenson and
 # Webster, Math. Comp. 86, 2017); the bases up to 37 alone pass
-# psi_12 = 399165290221 * 798330580441.
+# psi_12 = 399165290221 * 798330580441.  The first 4 decide every input
+# below psi_4 (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981  # psi_13
+_MR_BOUND_4 = 3215031751  # psi_4
 
 
 def is_prime(m: int) -> bool:
-    """Miller-Rabin primality test on the first 13 prime bases.
+    """Miller-Rabin primality test on the first 4 prime bases below psi_4
+    (about 3.2e9) and on the first 13 from there, after trial division by
+    those 13 primes, which decides them and their multiples at once.
 
     False is a proof at any size: a failing base witnesses that m is
     composite.  True is a proof below psi_13 (about 3.3e24); an m from
@@ -39,7 +43,7 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[:4] if m < _MR_BOUND_4 else _MR_WITNESSES:
         x = pow(w, d, m)
         if x in (1, m - 1):
             continue

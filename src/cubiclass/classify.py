@@ -19,7 +19,13 @@ from .forms import (
     eigenspace_basis,
     lemma_base_feasible,
 )
-from .signatures import Signature, _lead_shaped_multisets, enumerate_orbits, family_key
+from .signatures import (
+    Signature,
+    _lead_shaped_multisets,
+    check_walk,
+    enumerate_orbits,
+    family_key,
+)
 from .smoothness import find_smooth_member
 
 
@@ -131,6 +137,13 @@ def _resolve_strategy(p: int, n: int) -> str:
     where the Klein family is the whole classification.
     """
     return "exhaustive" if p <= 3 or p ** (n + 2) <= 10**8 else "chain_pruned"
+
+
+def check_budget(n: int, p: int) -> None:
+    """Raise the ValueError classify_with_audit(n, p) raises for an orbit
+    walk over its budget, without walking."""
+    if is_admissible(p, n):
+        check_walk(p, n, _resolve_strategy(p, n))
 
 
 def classify_with_audit(n: int, p: int):

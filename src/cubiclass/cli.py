@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .admissibility import admissible_primes, is_prime, max_admissible_prime
-from .classify import classify_with_audit
+from .classify import check_budget, classify_with_audit
 from .forms import form_from_json
 from .hodge import is_stable_under, klein_tangent_spectrum
 from .smoothness import (
@@ -30,9 +30,43 @@ EXIT_USAGE = 2
 EXIT_SINGULAR = 4
 EXIT_INCONCLUSIVE = 5
 
+_esc = json.encoder.encode_basestring_ascii
+
 
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """doc as json.dumps(doc, sort_keys=True, indent=2) + "\\n" writes it,
+    byte for byte, for the types CLI documents hold: dicts with str keys,
+    lists, str, int, bool and None.  Any other type, a float, a tuple or a
+    set among them, raises TypeError.  json's indented encoder is pure
+    Python; this one writes an all-int list in one join."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(v, nl: str) -> str:
+    """v as _dump writes it, nl the line break and indent of v's own line."""
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    t = type(v)
+    if t is str:
+        return _esc(v)
+    if t is int:
+        return str(v)
+    if t is not dict and t is not list:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not v:
+        return "{}" if t is dict else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if t is dict:
+        body = sep.join([_esc(k) + ": " + _json(v[k], inner) for k in sorted(v)])
+        return "{" + inner + body + nl + "}"
+    if set(map(type, v)) == {int}:
+        body = sep.join(map(str, v))
+    else:
+        body = sep.join([_json(x, inner) for x in v])
+    return "[" + inner + body + nl + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +127,10 @@ def _sigma_str(values) -> str:
 
 
 def _classification_document(n: int, primes, seed: int = 0):
+    # Every walk's size is closed-form: an over-budget prime is refused
+    # before the walks of the primes ahead of it run.
+    for p in primes:
+        check_budget(n, p)
     families, rejected, notes = [], [], []
     for p in primes:
         acc, rej, why = classify_with_audit(n, p)

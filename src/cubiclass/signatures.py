@@ -301,33 +301,24 @@ def _chain_multiset_count(p: int, n: int) -> int:
     return sum(comb(others, j) * comb(N, N - (j + 1) * ell) for j in range(N // ell))
 
 
-def enumerate_orbits(
-    p: int, n: int, strategy: str = "exhaustive", budget: int = 10**8
-) -> list[Signature]:
-    """Canonical representatives of all nonzero signature classes, sorted.
+# The most candidates an orbit walk may visit before it is refused.
+DEFAULT_BUDGET = 10**8
 
-    exhaustive walks _lead_shaped_multisets, which hold the canonical vector
-    of every orbit, each a lead-block member of its own orbit: handled, the
-    lead-block members of the orbits seen, makes one _lead_blocks call per
-    class, so orbit_count times (n+2)(n+1) candidates bound its work.
-    chain_pruned, for p > 3, emits exactly the classes satisfying the
-    closed-value-set necessary condition, a superset of the classes
-    carrying a smooth invariant form.  It canonicalizes only the distinct
-    least scalings of the chain multisets, as a scaling keeps the class, so
-    _chain_multiset_count times n+2 candidates bound its work.  A walk over
-    the budget is input out of range and raises ValueError before it starts
-    (chain_pruned first at p = 43, n = 22); an exhaustive one that emits
-    other than orbit_count classes is a fault and raises RuntimeError.
-    budget stays the fourth positional parameter for library callers that
-    need a larger walk.  No walk yields a constant vector (a lead-shaped
-    multiset holds 0 and 1, a chain multiset the ell >= 2 values of the
-    coset of 1), so no class is zero.
+
+def check_walk(p: int, n: int, strategy: str, budget: int = DEFAULT_BUDGET):
+    """Raise ValueError when the strategy's orbit walk at (p, n) is over the
+    budget, or the strategy is unknown or chain_pruned at p <= 3.  The
+    work is closed-form, so nothing is walked: exhaustive makes one
+    _lead_blocks call per class, orbit_count times (n+2)(n+1) lead-block
+    candidates; chain_pruned canonicalizes the least scalings of the
+    chain multisets, _chain_multiset_count times n+2 scaling candidates.
+    An over-budget walk is input out of range (chain_pruned first at
+    p = 43, n = 22).
     """
     ensure_prime(p)
     _check_dimension(n)
     if strategy == "exhaustive":
-        count = orbit_count(p, n)
-        work, kind = count * (n + 2) * (n + 1), "lead-block"
+        work, kind = orbit_count(p, n) * (n + 2) * (n + 1), "lead-block"
         hint = "use the chain_pruned strategy" if p > 3 else "no pruning at p <= 3"
     elif strategy == "chain_pruned":
         if p <= 3:
@@ -340,7 +331,30 @@ def enumerate_orbits(
         raise ValueError(
             f"p={p}, n={n}: {work} {kind} candidates exceed budget {budget}; {hint}"
         )
+
+
+def enumerate_orbits(
+    p: int, n: int, strategy: str = "exhaustive", budget: int = DEFAULT_BUDGET
+) -> list[Signature]:
+    """Canonical representatives of all nonzero signature classes, sorted.
+
+    exhaustive walks _lead_shaped_multisets, which hold the canonical vector
+    of every orbit, each a lead-block member of its own orbit: handled, the
+    lead-block members of the orbits seen, makes one _lead_blocks call per
+    class.  chain_pruned, for p > 3, emits exactly the classes satisfying
+    the closed-value-set necessary condition, a superset of the classes
+    carrying a smooth invariant form.  It canonicalizes only the distinct
+    least scalings of the chain multisets, as a scaling keeps the class.
+    check_walk refuses a walk over the budget before it starts; an
+    exhaustive one that emits other than orbit_count classes is a fault and
+    raises RuntimeError.  budget stays the fourth positional parameter for
+    library callers that need a larger walk.  No walk yields a constant
+    vector (a lead-shaped multiset holds 0 and 1, a chain multiset the
+    ell >= 2 values of the coset of 1), so no class is zero.
+    """
+    check_walk(p, n, strategy, budget)
     if strategy == "exhaustive":
+        count = orbit_count(p, n)
         handled, classes = set(), []
         for vals in _lead_shaped_multisets(p, n + 2):
             if vals not in handled:

@@ -1,3 +1,4 @@
+import random
 import signal
 import time
 import tracemalloc
@@ -73,6 +74,45 @@ def test_is_prime_range():
     for m in (PSI_13, WAGSTAFF_101):
         with pytest.raises(ValueError, match="deterministic"):
             is_prime(m)
+
+
+# psi_3 and psi_4, the least strong pseudoprimes to the bases (2, 3, 5)
+# and (2, 3, 5, 7) (Pomerance, Selfridge and Wagstaff 1980).
+PSI_3 = 25326001
+PSI_4 = 3215031751
+
+
+def _strong_probable_prime(m, w):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(w, d, m)
+    return x in (1, m - 1) or any(pow(x, 2**r, m) == m - 1 for r in range(1, s))
+
+
+def test_is_prime_four_bases_below_psi_4():
+    # Below psi_4 only the bases 2, 3, 5 and 7 run.  psi_3 passes the first
+    # three, so base 7 must catch it; psi_4 passes all four, so the cut at
+    # psi_4 must be strict and psi_4 itself runs the 13 bases.
+    assert PSI_3 == 2251 * 11251 and PSI_4 == 151 * 751 * 28351
+    assert all(_strong_probable_prime(PSI_3, w) for w in (2, 3, 5))
+    assert not _strong_probable_prime(PSI_3, 7)
+    assert all(_strong_probable_prime(PSI_4, w) for w in (2, 3, 5, 7))
+    assert not is_prime(PSI_3)
+    assert not is_prime(PSI_4)
+    # The primes either side of psi_4, one on each side of the cut.
+    assert is_prime(3215031749) and is_prime(3215031767)
+
+
+def test_is_prime_agrees_with_sympy_below_psi_4():
+    sympy = pytest.importorskip("sympy")
+    for m in range(200_000):
+        assert is_prime(m) is sympy.isprime(m), m
+    rng = random.Random(0)
+    sample = [rng.randrange(200_000, PSI_4) for _ in range(20_000)]
+    sample += range(PSI_4 - 2_000, PSI_4 + 2_000)
+    for m in sample:
+        assert is_prime(m) is sympy.isprime(m), m
 
 
 def test_is_prime_agrees_with_sympy_past_psi_13():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubiclass.cli import GOLDEN_DIR, _golden_documents, build_parser, main
+from cubiclass.cli import GOLDEN_DIR, _dump, _golden_documents, build_parser, main
 from cubiclass.forms import fermat, form_to_json, klein
 from cubiclass.smoothness import DEFAULT_MODULI
 
@@ -463,6 +463,21 @@ def test_classify_past_the_budget_exits_2():
         )
 
 
+def test_classify_refuses_an_over_budget_prime_before_any_walk():
+    # Each prime's walk size is closed-form, so every admissible prime is
+    # checked before the first walk: n = 30 names p = 11 and n = 22 names
+    # p = 43 at once, without walking the primes below them first.
+    for n, p, work in ((30, 11, 2070835712), (22, 43, 244142976)):
+        start = time.perf_counter()
+        code, text = run_cli("classify", "--n", str(n))
+        assert time.perf_counter() - start < 1, n
+        assert code == 2, n
+        assert text == (
+            f"error: p={p}, n={n}: {work} scaling candidates exceed budget "
+            "100000000; no strategy prunes further\n"
+        )
+
+
 def test_classify_has_no_moduli_option():
     # Witnesses are certified at DEFAULT_MODULI; no command takes --moduli.
     code, _ = run_cli("classify", "--n", "3", "--moduli", "10007")
@@ -624,3 +639,100 @@ def test_readme_cli_examples_parse():
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+# ---------------------------------------------------------------------------
+# _dump writes what json.dumps(doc, sort_keys=True, indent=2) writes.
+
+
+def json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+        [[[]], [{}]],
+        None,
+        True,
+        False,
+        [None, True, False],
+        {"t": True, "f": False, "n": None},
+        [1, True, 2],
+        -7,
+        [-3, 0, 5],
+        2**64 + 1,
+        [2**64, -(2**70), 2**200],
+        'say "hi"',
+        "back\\slash",
+        "line\nbreak\ttab\r\x00\x1f",
+        "Fläche ∞ 🙂",
+        {"é": "ü", 'q"uote': "\\", "": 0, "A": 1, "a": 2},
+        [1, "a", None],
+        [1, [2, 3], {"k": [4, "x"]}, [], "y"],
+    ],
+)
+def test_dump_matches_json_dumps(doc):
+    assert _dump(doc) == json_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, {"x": [1, 2.0]}, {1, 2}, [{3}], (1, 2), {1: 2}]
+)
+def test_dump_refuses_other_types(doc):
+    # json.dumps would write a float, a tuple and an int key; _dump only
+    # takes what CLI documents hold.
+    with pytest.raises(TypeError):
+        _dump(doc)
+
+
+def _cli_json_cases(tmp_path):
+    # smooth: a certificate (exit 0), a singular point (4), inconclusive (5).
+    forms = {
+        0: form_to_json(klein(5)),
+        4: {
+            "n": 2,
+            "terms": [
+                {"c": 1, "m": [0, 0, 1]},
+                {"c": 1, "m": [1, 1, 2]},
+                {"c": 1, "m": [0, 2, 2]},
+            ],
+        },
+        5: {
+            "n": 2,
+            "terms": [
+                {"c": 1, "m": [0, 0, 0]},
+                {"c": 1, "m": [1, 1, 1]},
+                {"c": 1, "m": [2, 2, 2]},
+                {"c": -3, "m": [0, 1, 2]},
+                {"c": 1, "m": [3, 3, 3]},
+            ],
+        },
+    }
+    for code, doc in forms.items():
+        path = tmp_path / f"exit{code}.json"
+        path.write_text(json.dumps(doc))
+        yield code, ("smooth", str(path))
+    yield 0, ("admissible", "--n", "3", "--format", "json")
+    yield 0, ("admissible", "--range", "2..12", "--format", "json")
+    yield 0, ("admissible", "--range", "11..20", "--max-only", "--format", "json")
+    for n in range(2, 9):
+        yield 0, ("classify", "--n", str(n))
+    yield 0, ("classify", "--n", "3", "--p", "7")
+    yield 0, ("spectrum", "--klein", "3")
+    yield 0, ("spectrum", "--klein", "5")
+
+
+def test_every_cli_json_document_matches_json_dumps(tmp_path):
+    for code, argv in _cli_json_cases(tmp_path):
+        got, text = run_cli(*argv)
+        assert got == code, argv
+        assert text == json_dumps(json.loads(text)), argv
+
+
+def test_golden_documents_match_json_dumps():
+    for name, text in _golden_documents():
+        assert text == json_dumps(json.loads(text)), name

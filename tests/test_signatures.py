@@ -13,6 +13,7 @@ from cubiclass.signatures import (
     Signature,
     act,
     canonicalize,
+    check_walk,
     enumerate_orbits,
     equivalent,
     family_key,
@@ -425,6 +426,24 @@ def test_enumerate_budget():
         f"p=11, n=4: {work} lead-block candidates exceed budget 1000; "
         "use the chain_pruned strategy"
     )
+
+
+@pytest.mark.parametrize(
+    "p, n, strategy, budget",
+    [(11, 4, "exhaustive", 1000), (3, 2, "exhaustive", 10),
+     (43, 8, "chain_pruned", 10), (43, 22, "chain_pruned", 10**8)],
+)
+def test_check_walk_is_the_budget_enumerate_orbits_applies(p, n, strategy, budget):
+    # classify checks every prime with check_walk before the first walk;
+    # enumerate_orbits refuses with the same call, so the two agree.
+    with pytest.raises(ValueError) as checked:
+        check_walk(p, n, strategy, budget)
+    with pytest.raises(ValueError) as walked:
+        enumerate_orbits(p, n, strategy, budget)
+    assert str(checked.value) == str(walked.value)
+    assert "exceed budget" in str(checked.value)
+    if n < 22:
+        assert check_walk(p, n, strategy) is None
 
 
 @pytest.mark.parametrize(
